@@ -57,7 +57,7 @@ def _parse_perm(text: str) -> Permutation:
 @click.group()
 @click.option(
     "--unsafe-size", is_flag=True,
-    help="Raise the exact-moment limit to k=6 (union enumeration up to 11!).",
+    help="Raise the exact-moment limit to k=6 (up to 8065 overlap classes).",
 )
 @click.pass_context
 def main(ctx: click.Context, unsafe_size: bool) -> None:
@@ -246,12 +246,11 @@ def rate(csv_file) -> None:
 
     Accepts either a two-column n,d_K file or the output of `clt
     --format csv`; a header row is detected by column names."""
+    rows = [row for row in csv.reader(csv_file) if row]
+    if not rows:
+        raise click.UsageError("empty CSV input")
+    header = [h.strip() for h in rows[0]]
     try:
-        reader = csv.reader(csv_file)
-        rows = [row for row in reader if row]
-        if not rows:
-            raise click.UsageError("empty CSV input")
-        header = [h.strip() for h in rows[0]]
         if "d_K" in header:
             n_col = header.index("n")
             d_col = header.index("d_K")
@@ -259,17 +258,18 @@ def rate(csv_file) -> None:
         else:
             n_col, d_col = 0, 1
         points = [(float(row[n_col]), float(row[d_col])) for row in rows]
-        fit = fit_rate(points)
-        _emit({
-            "points": [[n, d] for n, d in fit.points],
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "residual": fit.residual,
-        })
-    except ValueError as err:
+    except (ValueError, IndexError) as err:
         raise click.UsageError(f"bad CSV input: {err}")
+    try:
+        fit = fit_rate(points)
     except VincstatError as err:
         _fail(err)
+    _emit({
+        "points": [[n, d] for n, d in fit.points],
+        "slope": fit.slope,
+        "intercept": fit.intercept,
+        "residual": fit.residual,
+    })
 
 
 @main.command()

@@ -8,8 +8,12 @@ from __future__ import annotations
 
 import os
 
-# Exact-moment machinery enumerates S_t for overlap classes with
-# t <= 2k - 1, so the k limit also caps the joint-probability table size.
+from .errors import MalformedLimit
+
+# The exact variance sums over the overlap classes of two intersecting
+# k-sets, whose union size is t <= 2k - 1: at most 1431 classes for k = 5
+# and 8065 for k = 6.  The k limit caps that sum and, through
+# max_joint_t, the union size a joint probability may have.
 DEFAULT_MAX_EXACT_K = 5
 UNSAFE_MAX_EXACT_K = 6
 
@@ -31,7 +35,7 @@ def _env_int(name: str, default: int) -> int:
     try:
         return int(raw)
     except ValueError:
-        return default
+        raise MalformedLimit(f"{name}={raw!r} is not an integer") from None
 
 
 def max_exact_k(unsafe: bool = False) -> int:
@@ -42,7 +46,7 @@ def max_exact_k(unsafe: bool = False) -> int:
 
 
 def max_joint_t(unsafe: bool = False) -> int:
-    """Largest union size for exhaustive joint-probability enumeration."""
+    """Largest overlap-class union size for a joint probability."""
     return 2 * max_exact_k(unsafe) - 1
 
 

@@ -63,6 +63,10 @@ class SizeLimitExceeded(VincstatError):
     """An instance exceeds a configured size/enumeration cap."""
 
 
+class MalformedLimit(VincstatError):
+    """A VINCSTAT_* limit variable does not hold an integer."""
+
+
 class PatternTooSmall(VincstatError):
     """Operation requires pattern size k >= 2."""
 
@@ -70,10 +74,9 @@ class PatternTooSmall(VincstatError):
 # --- exact moments ----------------------------------------------------------
 
 class DegreeCertificateFailed(VincstatError):
-    """Interpolated variance polynomial failed an internal consistency
-    check (wrong value at the certificate node, wrong degree, or a
-    nonpositive leading coefficient).  Signals an implementation bug, not
-    bad user input."""
+    """The variance polynomial failed an internal consistency check
+    (degree other than 2j-1, or a nonpositive leading coefficient).
+    Signals an implementation bug, not bad user input."""
 
 
 class BadWindow(VincstatError):

@@ -2,28 +2,29 @@
 
 Everything here is exact rational arithmetic.  The mean is immediate
 (each admissible indicator has mean 1/k! by exchangeability of the host
-values).  The variance is a sum of indicator covariances over
-intersecting pairs of position sets; a pair's covariance depends only on
+values).  The variance is a sum of indicator covariances over ordered
+pairs of intersecting position sets.  A pair's covariance depends only on
 how the two sets interleave inside their union — the *overlap class* —
-so covariances are memoized per class and each class is evaluated by
-exhaustive enumeration of the t! relative orders of the union values.
+and so does the number of pairs in a class: at host size n a class with
+union size t, c of whose union steps (r, r+1) either set forces to be
+adjacent, occurs binom(n-c, t-c) times (close the forced steps, as the
+shift bijection of :mod:`vincstat.positions` does).  The joint
+probability of a class is the number of linear extensions of the two
+value chains the pattern imposes on the union, divided by t!.
 
-The variance, as a function of the host size n, agrees with a polynomial
-of degree at most 2j-1 for all n >= 2(k-j) (j = number of blocks).  We
-recover that polynomial by exact Lagrange interpolation through 2j
-consecutive integer nodes and then re-verify it at one extra node, which
-certifies that the degree bound (and hence the node count) was enough.
+So Var(n) = sum over classes of binom(n-c, t-c) (joint - 1/k!^2), a sum
+whose length does not depend on n.  Expanding each binomial in n gives
+the variance polynomial, of degree 2j-1 (j = number of blocks); it
+agrees with the exact variance for all n >= 2(k-j), since c <= 2(k-j).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations as _all_perms
+from itertools import combinations
 from math import comb, factorial
-from typing import Sequence
-
-import numpy as np
+from typing import Iterator, Sequence
 
 from . import config
 from .errors import (
@@ -33,7 +34,7 @@ from .errors import (
     SizeLimitExceeded,
 )
 from .patterns import Permutation, VincularPattern, reduce_sequence
-from .positions import enumerate_position_sets, position_count
+from .positions import position_count
 
 __all__ = [
     "OverlapClass",
@@ -95,79 +96,50 @@ class OverlapClass:
         return OverlapClass(self.t, self.j_mask, self.i_mask)
 
 
-_PERM_TABLE_CACHE: dict[int, np.ndarray] = {}
-_TABLE_LIMIT = 9  # largest t! table held in memory at once
-
-
-def _perm_table(t: int) -> np.ndarray:
-    """All t! permutations of {1..t} as a (t!, t) int8 array."""
-    table = _PERM_TABLE_CACHE.get(t)
-    if table is None:
-        table = np.array(list(_all_perms(range(1, t + 1))), dtype=np.int8)
-        table = table.reshape(factorial(t), max(t, 1) if t else 0)
-        _PERM_TABLE_CACHE[t] = table
-    return table
-
-
-def _iter_union_orders(t: int):
-    """Yield chunks of the (t!, t) table of relative orders; chunked by a
-    fixed prefix when t is too large for one table."""
-    if t <= _TABLE_LIMIT:
-        yield _perm_table(t)
-        return
-    fixed = t - _TABLE_LIMIT
-    tail_table = _perm_table(_TABLE_LIMIT)
-    for prefix in _all_perms(range(1, t + 1), fixed):
-        remaining = np.array(
-            sorted(set(range(1, t + 1)) - set(prefix)), dtype=np.int8
-        )
-        chunk = np.empty((tail_table.shape[0], t), dtype=np.int8)
-        chunk[:, :fixed] = prefix
-        chunk[:, fixed:] = remaining[tail_table - 1]
-        yield chunk
-
-
-def _mask_matches(table: np.ndarray, mask: Sequence[int], pi: tuple[int, ...]) -> np.ndarray:
-    """Boolean vector: rows whose values at the mask ranks realize pi."""
-    cols = np.array([p - 1 for p in mask])
-    sub = table[:, cols]
-    ok = np.ones(table.shape[0], dtype=bool)
-    k = len(pi)
-    for a in range(k):
-        for b in range(a + 1, k):
-            if pi[a] < pi[b]:
-                ok &= sub[:, a] < sub[:, b]
-            else:
-                ok &= sub[:, a] > sub[:, b]
-    return ok
-
-
 _JOINT_CACHE: dict[tuple, Fraction] = {}
 
 
 def joint_probability(cls: OverlapClass, pi: Permutation, unsafe: bool = False) -> Fraction:
-    """P(both indicators are 1) for a pair in this overlap class, by
-    counting the relative orders of the union values that realize the
-    pattern on both masks."""
+    """P(both indicators are 1) for a pair in this overlap class.
+
+    On each mask the pattern orders the union ranks into a chain by
+    value; the joint is the number of linear extensions of the two
+    chains, divided by t!.  A down-set of the two chains is a prefix of
+    each, so the extensions are counted by a DP over prefix pairs
+    (a, b), in which a rank on both chains is placed on both at once.
+    """
     k = pi.size
     if len(cls.i_mask) != k or len(cls.j_mask) != k:
         raise ValueError(f"class masks have size {len(cls.i_mask)}, pattern has size {k}")
     limit = config.max_joint_t(unsafe)
     if cls.t > limit:
         raise SizeLimitExceeded(
-            f"union size {cls.t} exceeds the joint-enumeration limit {limit}"
+            f"union size {cls.t} exceeds the joint-probability limit {limit}"
         )
     canon = cls.canonical()
     key = (pi.values, canon.t, canon.i_mask, canon.j_mask)
     hit = _JOINT_CACHE.get(key)
     if hit is not None:
         return hit
-    matches = 0
-    for table in _iter_union_orders(cls.t):
-        both = _mask_matches(table, canon.i_mask, pi.values)
-        both &= _mask_matches(table, canon.j_mask, pi.values)
-        matches += int(np.count_nonzero(both))
-    result = Fraction(matches, factorial(cls.t))
+    by_value = sorted(range(k), key=pi.values.__getitem__)
+    # Each chain ends in a None sentinel, which both chains share, so no
+    # step ever runs past the end of a chain.
+    first = [canon.i_mask[q] for q in by_value] + [None]
+    second = [canon.j_mask[q] for q in by_value] + [None]
+    shared = set(first) & set(second)
+    ways = [[0] * (k + 2) for _ in range(k + 2)]
+    ways[0][0] = 1
+    for a in range(k + 1):
+        for b in range(k + 1):
+            w = ways[a][b]
+            x, y = first[a], second[b]
+            if x not in shared:
+                ways[a + 1][b] += w
+            if y not in shared:
+                ways[a][b + 1] += w
+            if x == y:
+                ways[a + 1][b + 1] += w
+    result = Fraction(ways[k][k], factorial(cls.t))
     _JOINT_CACHE[key] = result
     return result
 
@@ -177,36 +149,56 @@ def covariance(cls: OverlapClass, pi: Permutation, unsafe: bool = False) -> Frac
     return joint_probability(cls, pi, unsafe) - Fraction(1, factorial(pi.size) ** 2)
 
 
-def exact_variance_at(pattern: VincularPattern, n: int, unsafe: bool = False) -> Fraction:
-    """Exact variance of the occurrence count at host size n, summing
-    covariances over all intersecting pairs of admissible sets."""
+def _overlap_classes(pattern: VincularPattern, max_t: int) -> Iterator[tuple[OverlapClass, int]]:
+    """Every overlap class of an ordered pair of intersecting admissible
+    sets with union size at most max_t, with the number c of union steps
+    (r, r+1) that either set forces to be adjacent."""
+    k = pattern.size
+
+    def forced_steps(mask):
+        # None when a union rank separates two entries the pattern glues.
+        steps = set()
+        for a in pattern.adjacencies:
+            if mask[a] != mask[a - 1] + 1:
+                return None
+            steps.add(mask[a - 1])
+        return steps
+
+    for t in range(k, min(2 * k - 1, max_t) + 1):
+        ranks = range(1, t + 1)
+        for i_mask in combinations(ranks, k):
+            i_steps = forced_steps(i_mask)
+            if i_steps is None:
+                continue
+            rest = tuple(r for r in ranks if r not in i_mask)
+            for common in combinations(i_mask, 2 * k - t):
+                j_mask = tuple(sorted(rest + common))
+                j_steps = forced_steps(j_mask)
+                if j_steps is not None:
+                    yield OverlapClass(t, i_mask, j_mask), len(i_steps | j_steps)
+
+
+def _class_weights(
+    pattern: VincularPattern, unsafe: bool, max_t: int
+) -> dict[tuple[int, int], Fraction]:
+    """Covariance summed over the classes of each (t, c), for the
+    classes with union size at most max_t."""
     k = pattern.size
     limit = config.max_exact_k(unsafe)
     if k > limit:
         raise SizeLimitExceeded(f"pattern size {k} exceeds the exact-moment limit {limit}")
-    sets = [I.positions for I in enumerate_position_sets(n, pattern)]
-    num = len(sets)
-    if num == 0:
-        return Fraction(0)
-    kfact = factorial(k)
-    total = num * (Fraction(1, kfact) - Fraction(1, kfact * kfact))
+    weights: dict[tuple[int, int], Fraction] = {}
+    for cls, c in _overlap_classes(pattern, max_t):
+        weights[cls.t, c] = weights.get((cls.t, c), 0) + covariance(cls, pattern.order, unsafe)
+    return weights
 
-    by_element: dict[int, list[int]] = {}
-    for idx, positions in enumerate(sets):
-        for p in positions:
-            by_element.setdefault(p, []).append(idx)
 
-    pi = pattern.order
-    for idx, positions in enumerate(sets):
-        partners = set()
-        for p in positions:
-            partners.update(by_element[p])
-        for other in partners:
-            if other <= idx:
-                continue
-            cls = OverlapClass.from_pair(positions, sets[other])
-            total += 2 * covariance(cls, pi, unsafe)
-    return total
+def exact_variance_at(pattern: VincularPattern, n: int, unsafe: bool = False) -> Fraction:
+    """Exact variance of the occurrence count at host size n: each
+    overlap class with union size t <= n contributes binom(n-c, t-c)
+    covariances."""
+    weights = _class_weights(pattern, unsafe, max_t=n)
+    return sum((comb(n - c, t - c) * w for (t, c), w in weights.items()), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -235,31 +227,19 @@ class VariancePolynomial:
         return acc
 
 
-def _interpolate(xs: Sequence[int], ys: Sequence[Fraction]) -> list[Fraction]:
-    """Exact Lagrange interpolation; ascending coefficients."""
-    degree = len(xs) - 1
-    coeffs = [Fraction(0)] * (degree + 1)
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for m, xm in enumerate(xs):
-            if m == i:
-                continue
-            # multiply basis by (x - xm)
-            shifted = [Fraction(0)] + basis
-            basis = [s - xm * b for s, b in zip(shifted, basis + [Fraction(0)])]
-            denom *= xi - xm
-        scale = yi / denom
-        for p, c in enumerate(basis):
-            coeffs[p] += c * scale
-    return coeffs
+def _binomial_in_n(c: int, m: int) -> list[Fraction]:
+    """Ascending coefficients of binom(n-c, m) as a polynomial in n."""
+    coeffs = [1]
+    for root in range(c, c + m):
+        # multiply by (n - root)
+        coeffs = [lo - root * hi for lo, hi in zip([0] + coeffs, coeffs + [0])]
+    return [Fraction(x, factorial(m)) for x in coeffs]
 
 
 def variance_polynomial(pattern: VincularPattern, unsafe: bool = False) -> VariancePolynomial:
-    """Interpolate the exact variance polynomial and certify it.
+    """The exact variance polynomial: every class's binom(n-c, t-c)
+    expanded in n and weighted by its covariance.
 
-    Nodes are the 2j consecutive integers starting at
-    n0 = max(2(k-j), k); one extra node checks that 2j points sufficed.
     The result must have degree exactly 2j-1 with a positive leading
     coefficient — a violation means a bug, not a property of the pattern.
     """
@@ -267,22 +247,16 @@ def variance_polynomial(pattern: VincularPattern, unsafe: bool = False) -> Varia
     if k < 2:
         raise PatternTooSmall("variance polynomial requires pattern size k >= 2")
     j = pattern.block_count
-    n0 = max(2 * (k - j), k)
-    nodes = list(range(n0, n0 + 2 * j))
-    values = [exact_variance_at(pattern, n, unsafe) for n in nodes]
-    coeffs = _interpolate(nodes, values)
+    coeffs = [Fraction(0)] * (2 * k)
+    for (t, c), w in _class_weights(pattern, unsafe, max_t=2 * k - 1).items():
+        for p, b in enumerate(_binomial_in_n(c, t - c)):
+            coeffs[p] += w * b
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
-    certificate_n = n0 + 2 * j
-    expected = exact_variance_at(pattern, certificate_n, unsafe)
     poly = VariancePolynomial(tuple(coeffs), valid_from=2 * (k - j))
-    if poly.evaluate(certificate_n) != expected:
-        raise DegreeCertificateFailed(
-            f"interpolant for {pattern} misses the certificate node n={certificate_n}"
-        )
     if poly.degree != 2 * j - 1 or poly.leading_coefficient <= 0:
         raise DegreeCertificateFailed(
-            f"interpolant for {pattern} has degree {poly.degree} and leading "
+            f"variance polynomial for {pattern} has degree {poly.degree} and leading "
             f"coefficient {poly.leading_coefficient}; expected degree {2 * j - 1} "
             "with a positive lead"
         )

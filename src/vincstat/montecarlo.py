@@ -15,14 +15,13 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy.special import ndtr
 
 from . import config
 from .errors import DegenerateInput, EmptySample, PatternTooSmall, TooFewSamples
-from .moments import exact_variance_at, expectation, variance_polynomial
+from .moments import exact_variance_at, expectation
 from .patterns import VincularPattern, format_pattern
 from .positions import count_occurrences_batch, position_matrix
 from .sampling import BOOTSTRAP_STREAM, sample_uniform_batch, substream
@@ -110,19 +109,6 @@ class MonteCarloReport:
     used_exact_moments: bool
 
 
-def _exact_moments(pattern: VincularPattern, n: int) -> tuple[Fraction, Fraction]:
-    mean = expectation(pattern, n)
-    # The interpolated polynomial is exact for n >= valid_from and cheap
-    # at any size; below its validity threshold fall back to the direct
-    # pair sum (only possible for small n anyway).
-    poly = variance_polynomial(pattern)
-    if n >= poly.valid_from:
-        var = poly.evaluate(n)
-    else:
-        var = exact_variance_at(pattern, n)
-    return mean, var
-
-
 def _count_chunk(args) -> np.ndarray:
     pattern, n, seed, start, count, posmat = args
     perms = sample_uniform_batch(n, seed, count, start)
@@ -164,7 +150,7 @@ def run_experiment(
 
     use_exact = pattern.size <= config.max_exact_k()
     if use_exact:
-        mean_q, var_q = _exact_moments(pattern, n)
+        mean_q, var_q = expectation(pattern, n), exact_variance_at(pattern, n)
         mean, var = float(mean_q), float(var_q)
         if var <= 0:
             raise DegenerateInput(f"exact variance is {var_q} at n={n}; nothing to standardize")
@@ -202,8 +188,8 @@ def fit_rate(points) -> RateFit:
     pts = tuple((float(n), float(d)) for n, d in points)
     if len(pts) < 3:
         raise DegenerateInput(f"need at least 3 points, got {len(pts)}")
-    if any(n <= 0 or d <= 0 for n, d in pts):
-        raise DegenerateInput("all n and d_K must be positive")
+    if not all(0 < n < np.inf and 0 < d < np.inf for n, d in pts):
+        raise DegenerateInput("all n and d_K must be positive and finite")
     log_n = np.log([n for n, _ in pts])
     log_d = np.log([d for _, d in pts])
     slope, intercept = np.polyfit(log_n, log_d, 1)

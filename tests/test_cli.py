@@ -159,6 +159,25 @@ def test_exit_code_one_with_structured_error(runner):
     assert json.loads(result.output)["error"]["type"] == "DegenerateInput"
 
 
+def test_malformed_limit_is_a_json_error(runner):
+    result = runner.invoke(
+        main, ["moments", "--pattern", "2,1", "--n", "5"], env={"VINCSTAT_MAX_K": "abc"}
+    )
+    assert result.exit_code == 1
+    err = json.loads(result.output)["error"]
+    assert err["type"] == "MalformedLimit"
+    assert "VINCSTAT_MAX_K" in err["message"] and "'abc'" in err["message"]
+
+
+def test_rate_malformed_csv_is_a_usage_error(runner):
+    short_row = runner.invoke(main, ["rate"], input="n,d_K\n100\n")
+    assert short_row.exit_code == 2
+    assert "bad CSV input" in short_row.output
+    no_n_column = runner.invoke(main, ["rate"], input="m,d_K\n100,0.1\n400,0.05\n")
+    assert no_n_column.exit_code == 2
+    assert "bad CSV input" in no_n_column.output
+
+
 def test_unsafe_size_flag_unlocks_k6(runner):
     result = runner.invoke(
         main, ["--unsafe-size", "moments", "--pattern", "1|2|3|4|5|6", "--n", "8"]

@@ -1,10 +1,14 @@
+import random
+import time
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from vincstat import moments
 from vincstat.errors import BadWindow, PatternTooSmall, SizeLimitExceeded
 from vincstat.moments import (
     OverlapClass,
@@ -16,7 +20,7 @@ from vincstat.moments import (
     leading_coefficient,
     variance_polynomial,
 )
-from vincstat.patterns import Permutation, parse_pattern
+from vincstat.patterns import Permutation, iter_patterns, parse_pattern
 from vincstat.positions import enumerate_position_sets, position_count
 
 
@@ -54,7 +58,7 @@ def test_joint_probability_hand_checked():
 
 def test_joint_probability_brute_force_cross_check():
     # Re-derive a few joints by direct iteration over relative orders,
-    # sidestepping the vectorized counting and its memo cache.
+    # sidestepping the linear-extension count and its memo cache.
     cases = [
         (Permutation((2, 1, 3)), (1, 2, 4), (2, 4, 5)),
         (Permutation((3, 1, 2)), (1, 3, 4), (3, 4, 6)),
@@ -134,8 +138,8 @@ def test_variance_polynomial_leading_coefficients():
 
 
 def test_polynomial_matches_exact_beyond_nodes():
-    # Interpolation nodes stop at n0 + 2j - 1; the polynomial must keep
-    # matching the pairwise-covariance sum past them, and down to valid_from.
+    # The expanded polynomial must match the class sum at every n from
+    # valid_from on, including the hosts too small for some classes.
     for text in ("2,1", "1|2", "3|1,2", "2,1|3", "1,2|3"):
         p = parse_pattern(text)
         poly = variance_polynomial(p)
@@ -297,3 +301,60 @@ def test_random_concrete_pairs_collapse_onto_few_classes():
         keys.add(cls.canonical())
         assert covariance(cls, p.order) == _joint_by_order_scan(cls, p.order) - expected**2
     assert len(keys) < 15
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_joint_probability_matches_order_scan(k, data):
+    # Random intersecting position sets whose union has at most 7 entries:
+    # J keeps `shared` entries of I and adds k - shared others.
+    I = data.draw(st.sets(st.integers(1, 9), min_size=k, max_size=k))
+    shared = data.draw(st.integers(max(1, 2 * k - 7), k))
+    kept = data.draw(st.sets(st.sampled_from(sorted(I)), min_size=shared, max_size=shared))
+    others = sorted(set(range(1, 10)) - I)
+    added = data.draw(st.sets(st.sampled_from(others), min_size=k - shared, max_size=k - shared))
+    pi = Permutation(tuple(data.draw(st.permutations(list(range(1, k + 1))))))
+    cls = OverlapClass.from_pair(tuple(I), tuple(kept | added))
+    assert cls.t <= 7
+    assert joint_probability(cls, pi) == _joint_by_order_scan(cls, pi)
+
+
+def _variance_by_pair_sum(pattern, n: int) -> Fraction:
+    """Independent variance: the covariance summed over every ordered
+    pair of intersecting admissible sets at host size n."""
+    sets = [I.positions for I in enumerate_position_sets(n, pattern)]
+    kfact = factorial(pattern.size)
+    total = len(sets) * (Fraction(1, kfact) - Fraction(1, kfact * kfact))
+    by_element: dict[int, list[int]] = {}
+    for idx, positions in enumerate(sets):
+        for p in positions:
+            by_element.setdefault(p, []).append(idx)
+    for idx, positions in enumerate(sets):
+        partners = set()
+        for p in positions:
+            partners.update(by_element[p])
+        for other in partners:
+            if other > idx:
+                cls = OverlapClass.from_pair(positions, sets[other])
+                total += 2 * covariance(cls, pattern.order)
+    return total
+
+
+def test_class_sum_matches_pair_sum():
+    rng = random.Random(7)
+    patterns = [p for k in (2, 3, 4) for p in rng.sample(list(iter_patterns(k)), 3)]
+    for p in patterns:
+        for n in range(p.size - 1, 13, 3):
+            assert exact_variance_at(p, n) == _variance_by_pair_sum(p, n), (str(p), n)
+
+
+def test_exact_variance_at_huge_host_is_fast():
+    # The class sum does not grow with n: the classical k = 5 pattern at
+    # n = 10^6 agrees with its polynomial and takes milliseconds.
+    p = parse_pattern("3|1|5|2|4")
+    moments._JOINT_CACHE.clear()
+    started = time.perf_counter()
+    value = exact_variance_at(p, 10**6)
+    elapsed = time.perf_counter() - started
+    assert value == variance_polynomial(p).evaluate(10**6)
+    assert elapsed < 1.0

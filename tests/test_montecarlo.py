@@ -143,6 +143,9 @@ def test_fit_rate_validation():
         fit_rate([(100, 0.1), (200, 0.05), (400, 0.0)])
     with pytest.raises(DegenerateInput):
         fit_rate([(0, 0.1), (200, 0.05), (400, 0.02)])
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(DegenerateInput):
+            fit_rate([(100, bad), (200, 0.05), (400, 0.02)])
 
 
 def test_kolmogorov_distance_saturates_far_out():
