@@ -162,7 +162,8 @@ def depgraph(pattern_text: str, n: int) -> None:
 @click.option("--r", type=int, default=None, help="Cumulant order (kind=cumulant).")
 @click.option("--gamma", type=float, default=None, help="kind=saulis")
 @click.option("--delta", type=float, default=None, help="kind=saulis")
-def bounds(kind, pattern_text, n, big_n, big_d, bound_b, sigma2, r, gamma, delta):
+@click.pass_context
+def bounds(ctx, kind, pattern_text, n, big_n, big_d, bound_b, sigma2, r, gamma, delta):
     """Evaluate a normal-approximation bound from supplied or computed
     inputs."""
     try:
@@ -180,7 +181,7 @@ def bounds(kind, pattern_text, n, big_n, big_d, bound_b, sigma2, r, gamma, delta
             big_n = summary.N if big_n is None else big_n
             big_d = summary.D if big_d is None else big_d
             if sigma2 is None and kind == "stein":
-                sigma2 = float(exact_variance_at(pattern, n))
+                sigma2 = float(exact_variance_at(pattern, n, ctx.obj["unsafe"]))
         if big_n is None or big_d is None:
             raise click.UsageError("need --N and --D (or --pattern/--n)")
         if kind == "stein":
@@ -209,13 +210,15 @@ def bounds(kind, pattern_text, n, big_n, big_d, bound_b, sigma2, r, gamma, delta
                    "Output does not depend on this.")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
               default="json", show_default=True)
-def clt(pattern_text, n, samples, seed, threads, fmt):
+@click.pass_context
+def clt(ctx, pattern_text, n, samples, seed, threads, fmt):
     """Sample the standardized statistic; report d_K and cumulants."""
     try:
         pattern = parse_pattern(pattern_text)
         if threads is None:
             threads = os.cpu_count() or 1
-        rep = run_experiment(pattern, n, samples, seed, threads=threads)
+        rep = run_experiment(pattern, n, samples, seed, threads=threads,
+                             unsafe=ctx.obj["unsafe"])
         c = rep.cumulants
         if fmt == "csv":
             buf = io.StringIO()

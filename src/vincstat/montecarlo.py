@@ -121,13 +121,15 @@ def run_experiment(
     m: int,
     seed: int,
     threads: int | None = None,
+    unsafe: bool = False,
 ) -> MonteCarloReport:
     """Draw m permutations of size n, count pattern occurrences,
     standardize, and summarize.
 
     Standardization uses the exact mean and variance when the pattern is
-    within the exact-moment limit, otherwise sample moments (recorded in
-    the report).  Output is identical for every thread count.
+    within the exact-moment limit (raised to k=6 by unsafe), otherwise
+    sample moments (recorded in the report).  Output is identical for
+    every thread count.
     """
     if pattern.size < 2:
         raise PatternTooSmall("the normal limit concerns patterns of size k >= 2")
@@ -148,9 +150,9 @@ def run_experiment(
         pieces = [_count_chunk(t) for t in tasks]
     counts = np.concatenate(pieces).astype(np.float64)
 
-    use_exact = pattern.size <= config.max_exact_k()
+    use_exact = pattern.size <= config.max_exact_k(unsafe)
     if use_exact:
-        mean_q, var_q = expectation(pattern, n), exact_variance_at(pattern, n)
+        mean_q, var_q = expectation(pattern, n), exact_variance_at(pattern, n, unsafe)
         mean, var = float(mean_q), float(var_q)
         if var <= 0:
             raise DegenerateInput(f"exact variance is {var_q} at n={n}; nothing to standardize")

@@ -259,20 +259,6 @@ def conditional_formula_check(
 # --- conditioning on suffix values: the two regimes ------------------------
 
 
-def _indicator_columns(table: np.ndarray, pi: tuple[int, ...], positions) -> np.ndarray:
-    cols = np.array([p - 1 for p in positions])
-    sub = table[:, cols]
-    ok = np.ones(table.shape[0], dtype=bool)
-    k = len(pi)
-    for a in range(k):
-        for b in range(a + 1, k):
-            if pi[a] < pi[b]:
-                ok &= sub[:, a] < sub[:, b]
-            else:
-                ok &= sub[:, a] > sub[:, b]
-    return ok
-
-
 def discrete_suffix_covariances(
     pattern: VincularPattern, n: int, I: PositionSet, J: PositionSet
 ) -> dict[tuple[int, ...], Fraction]:
@@ -286,8 +272,8 @@ def discrete_suffix_covariances(
     _check_oracle_size(n)
     table = _full_table(n)
     suffix = pattern.last_block_size
-    xi = _indicator_columns(table, pattern.order.values, I.positions)
-    xj = _indicator_columns(table, pattern.order.values, J.positions)
+    xi = count_occurrences_batch(table, pattern, np.array([I.positions]) - 1) == 1
+    xj = count_occurrences_batch(table, pattern, np.array([J.positions]) - 1) == 1
     out: dict[tuple[int, ...], Fraction] = {}
     tails: dict[tuple[int, ...], list[int]] = {}
     for row_idx in range(table.shape[0]):

@@ -32,7 +32,6 @@ __all__ = [
     "occurs_at",
     "count_occurrences",
     "position_matrix",
-    "count_occurrences_batch",
 ]
 
 
@@ -148,21 +147,9 @@ def occurs_at(sigma: Permutation, pi: Permutation, I: PositionSet) -> bool:
 
 
 def count_occurrences(sigma: Permutation, pattern: VincularPattern) -> int:
-    """Total number of admissible occurrences of the pattern in sigma."""
-    values = sigma.values
-    pi = pattern.order.values
-    k = pattern.size
-    # Orientation of each pattern pair; an occurrence must agree on all.
-    rising = [(a, b) for a in range(k) for b in range(a + 1, k) if pi[a] < pi[b]]
-    falling = [(a, b) for a in range(k) for b in range(a + 1, k) if pi[a] > pi[b]]
-    total = 0
-    for I in enumerate_position_sets(sigma.size, pattern):
-        window = [values[p - 1] for p in I.positions]
-        if all(window[a] < window[b] for a, b in rising) and all(
-            window[a] > window[b] for a, b in falling
-        ):
-            total += 1
-    return total
+    """Total number of admissible occurrences of the pattern in sigma.
+    Lists the position sets, so guarded by the listing cap."""
+    return int(count_occurrences_batch(np.array([sigma.values]), pattern)[0])
 
 
 def position_matrix(n: int, pattern: VincularPattern) -> np.ndarray:
@@ -185,12 +172,19 @@ def position_matrix(n: int, pattern: VincularPattern) -> np.ndarray:
 def count_occurrences_batch(
     perms: np.ndarray, pattern: VincularPattern, posmat: np.ndarray | None = None
 ) -> np.ndarray:
-    """Occurrence counts for many permutations at once.
+    """Occurrence counts for many host rows at once: the one pattern test.
 
-    perms is an (m, n) integer array, one permutation of {1..n} per row.
-    The position matrix is built once (or passed in) and the pattern
-    comparisons run vectorized over samples x position sets, chunked to
-    bound memory.
+    perms is an (m, n) array of rows with distinct entries — permutations
+    of {1..n}, or reals (distinct uniforms) whose relative order is what
+    counts.  Rows with repeated entries are not rejected and give
+    meaningless counts; validate through Permutation before calling.
+    posmat holds the 0-based position sets to test, one per row; by
+    default all admissible sets, from position_matrix (listing cap).
+
+    The host values at the pattern entries taken in increasing pattern
+    value must rise strictly; by transitivity those k-1 comparisons imply
+    all k(k-1)/2.  Each comparison gathers one (rows, sets) column, over
+    row chunks of about 8M gathered cells.
     """
     perms = np.asarray(perms)
     m, n = perms.shape
@@ -200,17 +194,15 @@ def count_occurrences_batch(
     counts = np.zeros(m, dtype=np.int64)
     if num_sets == 0:
         return counts
-    pi = pattern.order.values
-    pairs = [(a, b, pi[a] < pi[b]) for a in range(k) for b in range(a + 1, k)]
-    # Keep each gathered chunk around 8M cells.
+    chain = [np.ascontiguousarray(posmat[:, q]) for q in np.argsort(pattern.order.values)]
     chunk = max(1, int(8_000_000 // max(1, num_sets * k)))
     for lo in range(0, m, chunk):
-        sub = perms[lo : lo + chunk][:, posmat]  # (chunk, num_sets, k)
-        ok = np.ones(sub.shape[:2], dtype=bool)
-        for a, b, up in pairs:
-            if up:
-                ok &= sub[:, :, a] < sub[:, :, b]
-            else:
-                ok &= sub[:, :, a] > sub[:, :, b]
+        rows = perms[lo : lo + chunk]
+        ok = np.ones((rows.shape[0], num_sets), dtype=bool)
+        prev = rows[:, chain[0]]
+        for col in chain[1:]:
+            cur = rows[:, col]
+            ok &= prev < cur
+            prev = cur
         counts[lo : lo + chunk] = ok.sum(axis=1)
     return counts

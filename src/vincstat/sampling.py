@@ -57,12 +57,10 @@ def substream(seed: int, index: int, stream: int = 0) -> np.random.Generator:
 
 
 def sample_uniform(n: int, seed: int, index: int = 0) -> Permutation:
-    """Uniform permutation of {1..n} via a seeded shuffle."""
-    if n < 1:
-        raise ZeroSize(f"cannot sample a permutation of size {n}")
-    gen = substream(seed, index, SHUFFLE_STREAM)
-    values = gen.permutation(np.arange(1, n + 1))
-    return Permutation(tuple(int(v) for v in values))
+    """Uniform permutation of {1..n} via a seeded shuffle: the row of
+    sample_uniform_batch for this index."""
+    row = sample_uniform_batch(n, seed, 1, index)[0]
+    return Permutation(tuple(int(v) for v in row))
 
 
 def _reduction_draw(gen: np.random.Generator, n: int) -> np.ndarray:
@@ -77,13 +75,9 @@ def _reduction_draw(gen: np.random.Generator, n: int) -> np.ndarray:
 
 def sample_by_reduction(n: int, seed: int, index: int = 0) -> Permutation:
     """Uniform permutation of {1..n} as the rank sequence of n i.i.d.
-    uniform draws."""
-    if n < 1:
-        raise ZeroSize(f"cannot sample a permutation of size {n}")
-    gen = substream(seed, index, REDUCTION_STREAM)
-    u = _reduction_draw(gen, n)
-    ranks = np.argsort(np.argsort(u)) + 1
-    return Permutation(tuple(int(v) for v in ranks))
+    uniform draws: the row of sample_by_reduction_batch for this index."""
+    row = sample_by_reduction_batch(n, seed, 1, index)[0]
+    return Permutation(tuple(int(v) for v in row))
 
 
 def sample_uniform_batch(n: int, seed: int, count: int, start: int = 0) -> np.ndarray:

@@ -185,6 +185,26 @@ def test_unsafe_size_flag_unlocks_k6(runner):
     out = _ok(result)
     assert out["variance"].count("/") == 1
 
+    stein = ["bounds", "--kind", "stein", "--pattern", "1|2|3|4|5|6", "--n", "9"]
+    assert runner.invoke(main, stein).exit_code == 1
+    out = _ok(runner.invoke(main, ["--unsafe-size", *stein]))
+    assert out["sigma2"] == float(exact_variance_at(parse_pattern("1|2|3|4|5|6"), 9, True))
+
+    clt = ["clt", "--pattern", "1|2|3|4|5|6", "--n", "12", "--samples", "200", "--threads", "1"]
+    assert _ok(runner.invoke(main, clt))["exact_moments"] is False
+    assert _ok(runner.invoke(main, ["--unsafe-size", *clt]))["exact_moments"] is True
+
+
+def test_count_respects_listing_cap(runner):
+    perm = "3,1,4,8,5,7,2,6"  # C(8,3) = 56 position sets for 1|2|3
+    result = runner.invoke(
+        main, ["count", "--pattern", "1|2|3", "--perm", perm],
+        env={"VINCSTAT_LISTING_CAP": "10"},
+    )
+    assert result.exit_code == 1
+    assert json.loads(result.output)["error"]["type"] == "SizeLimitExceeded"
+    assert _ok(runner.invoke(main, ["count", "--pattern", "1|2|3", "--perm", perm]))["count"] > 0
+
 
 def test_exit_code_two_on_usage_errors(runner):
     assert runner.invoke(main, ["moments", "--pattern", "2,1"]).exit_code == 2  # no --n

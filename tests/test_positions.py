@@ -3,6 +3,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vincstat.errors import NotAdmissible, SizeLimitExceeded, SizeMismatch
 from vincstat.patterns import (
@@ -178,6 +179,29 @@ def test_batch_accepts_prebuilt_matrix_and_empty():
     # Host smaller than the pattern: every count is zero.
     tiny = sample_uniform_batch(3, seed=5, count=4)
     assert count_occurrences_batch(tiny, p).tolist() == [0, 0, 0, 0]
+
+
+_SMALL_PATTERNS = [p for k in range(1, 5) for p in iter_patterns(k)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_SMALL_PATTERNS), st.integers(1, 9), st.data())
+def test_batch_kernel_matches_occurs_at(pattern, n, data):
+    sigma = Permutation(tuple(data.draw(st.permutations(range(1, n + 1)))))
+    sets = list(enumerate_position_sets(n, pattern))
+    hits = [occurs_at(sigma, pattern.order, I) for I in sets]
+    row = np.array([sigma.values])
+    assert count_occurrences_batch(row, pattern)[0] == sum(hits)
+    # Distinct reals with the same ranks, as in the pinned-uniform check.
+    reals = sorted(data.draw(st.lists(
+        st.floats(0, 1, allow_nan=False), min_size=n, max_size=n, unique=True
+    )))
+    real_row = np.array([[reals[v - 1] for v in sigma.values]])
+    assert count_occurrences_batch(real_row, pattern)[0] == sum(hits)
+    # One position set at a time, as the suffix-covariance oracle asks.
+    for I, hit in zip(sets, hits):
+        one = count_occurrences_batch(row, pattern, np.array([I.positions]) - 1)
+        assert one.tolist() == [int(hit)]
 
 
 def test_position_matrix_respects_listing_cap(monkeypatch):
