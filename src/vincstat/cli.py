@@ -32,6 +32,9 @@ CSV_COLUMNS = [
     "k1", "k2", "k3", "k4", "se3", "se4", "exact_moments",
 ]
 
+# Philox keys take the seed as one 64-bit word.
+SEED = click.IntRange(0, 2**64 - 1)
+
 
 def _frac(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
@@ -82,8 +85,9 @@ def count(pattern_text: str, perm_text: str) -> None:
 
 @main.command()
 @click.option("--n", type=int, required=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--count", "how_many", type=int, default=1, show_default=True)
+@click.option("--seed", type=SEED, default=0, show_default=True)
+@click.option("--count", "how_many", type=click.IntRange(min=0), default=1,
+              show_default=True)
 @click.option("--method", type=click.Choice(["shuffle", "reduction"]),
               default="shuffle", show_default=True)
 def sample(n: int, seed: int, how_many: int, method: str) -> None:
@@ -204,8 +208,8 @@ def bounds(ctx, kind, pattern_text, n, big_n, big_d, bound_b, sigma2, r, gamma, 
 @click.option("--pattern", "pattern_text", required=True)
 @click.option("--n", type=int, required=True)
 @click.option("--samples", type=int, required=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--threads", type=int, default=None,
+@click.option("--seed", type=SEED, default=0, show_default=True)
+@click.option("--threads", type=click.IntRange(min=1), default=None,
               help="Worker processes; default = available parallelism. "
                    "Output does not depend on this.")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]),

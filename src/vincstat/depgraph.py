@@ -48,7 +48,7 @@ class DependencyGraphSummary:
     j: int
     N: int
     D: int
-    edge_count: int | None
+    edge_count: int
 
 
 def _packings(gaps: tuple[int, ...], blocks: tuple[int, ...]) -> int:
@@ -94,25 +94,19 @@ def _gap_compositions(total: int, parts: int):
 
 
 def graph_summary(n: int, pattern: VincularPattern) -> DependencyGraphSummary:
-    """Exact N, D, and (when affordable) edge count for the dependency
-    graph at host size n."""
+    """Exact N, D and edge count for the dependency graph at host size n."""
     k = pattern.size
     j = pattern.block_count
     if n < k:
         raise DegenerateInput(f"no admissible sets for n={n} < k={k}")
     N = position_count(n, pattern)
-    cap = config.vertex_cap()
 
     if j == 1:
-        # Sliding windows: window s meets windows within distance k-1.
+        # Sliding windows: windows at distance d meet iff d < k, and
+        # N - d pairs lie at each distance d.
         D = min(N, 2 * k - 1)
-        if N <= cap:
-            meets_total = sum(
-                min(N, s + k - 1) - max(1, s - k + 1) + 1 for s in range(1, N + 1)
-            )
-            edges = (meets_total - N) // 2
-        else:
-            edges = None
+        reach = min(k - 1, N - 1)
+        edges = reach * N - reach * (reach + 1) // 2
         return DependencyGraphSummary(n, k, j, N, D, edges)
 
     if j == k:
@@ -122,6 +116,7 @@ def graph_summary(n: int, pattern: VincularPattern) -> DependencyGraphSummary:
         edges = N * (meets - 1) // 2
         return DependencyGraphSummary(n, k, j, N, meets, edges)
 
+    cap = config.vertex_cap()
     if N > cap:
         raise SizeLimitExceeded(
             f"{N} vertices exceed the scan cap {cap} and pattern "

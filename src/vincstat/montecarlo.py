@@ -24,7 +24,7 @@ from .errors import DegenerateInput, EmptySample, PatternTooSmall, TooFewSamples
 from .moments import exact_variance_at, expectation
 from .patterns import VincularPattern, format_pattern
 from .positions import count_occurrences_batch, position_matrix
-from .sampling import BOOTSTRAP_STREAM, sample_uniform_batch, substream
+from .sampling import sample_uniform_batch
 
 __all__ = [
     "CumulantEstimates",
@@ -75,26 +75,33 @@ def _cumulants_of(xs: np.ndarray) -> tuple[float, float, float, float]:
     return float(mean), m2, m3, m4 - 3 * m2 * m2
 
 
-def sample_cumulants(xs: np.ndarray, resamples: int = 200, seed: int = 0) -> CumulantEstimates:
-    """Plug-in estimates of the first four cumulants, with bootstrap
-    standard errors.
+def sample_cumulants(xs: np.ndarray) -> CumulantEstimates:
+    """Plug-in estimates of the first four cumulants, with delete-one
+    jackknife standard errors.
 
     The estimators are the central-moment plug-ins (k4 = m4 - 3 m2^2);
     their O(1/m) bias is far below the Monte Carlo tolerances used here.
-    Standard errors come from `resamples` bootstrap resamples drawn from
-    a dedicated substream of `seed`, so repeated calls agree exactly.
+    The jackknife (Efron & Stein 1981) recomputes them with each
+    observation left out: the power sums of the sample centered at k1,
+    minus that observation's powers, give all m replicates in O(m), and
+    se = sqrt((m-1)/m * sum_i (theta_i - mean theta)^2).  No randomness
+    is involved, so equal samples give equal errors.
     """
     xs = np.asarray(xs, dtype=np.float64).ravel()
     m = xs.size
     if m < 5:
         raise TooFewSamples(f"need at least 5 observations, got {m}")
     k1, k2, k3, k4 = _cumulants_of(xs)
-    gen = substream(seed, 0, BOOTSTRAP_STREAM)
-    boot = np.empty((resamples, 4))
-    for r in range(resamples):
-        idx = gen.integers(0, m, m)
-        boot[r] = _cumulants_of(xs[idx])
-    ses = boot.std(axis=0, ddof=1)
+    y = xs - k1
+    powers = np.stack([y, y * y, y**3, y**4])
+    s1, s2, s3, s4 = (powers.sum(axis=1, keepdims=True) - powers) / (m - 1)
+    c2 = s2 - s1 * s1
+    c3 = s3 - 3 * s1 * s2 + 2 * s1**3
+    c4 = s4 - 4 * s1 * s3 + 6 * s1 * s1 * s2 - 3 * s1**4 - 3 * c2 * c2
+    # The k1 replicates are s1 + k1; the constant shift leaves their spread alone.
+    reps = np.stack([s1, c2, c3, c4])
+    dev = reps - reps.mean(axis=1, keepdims=True)
+    ses = np.sqrt((m - 1) / m * (dev * dev).sum(axis=1))
     return CumulantEstimates(k1, k2, k3, k4, *(float(s) for s in ses))
 
 
@@ -169,7 +176,7 @@ def run_experiment(
         samples=m,
         seed=seed,
         d_K=empirical_kolmogorov(xs),
-        cumulants=sample_cumulants(xs, seed=seed),
+        cumulants=sample_cumulants(xs),
         used_exact_moments=use_exact,
     )
 

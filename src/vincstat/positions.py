@@ -13,7 +13,7 @@ odometer for enumeration (choose the subset, shift back).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from typing import Iterator
 
@@ -162,11 +162,18 @@ def position_matrix(n: int, pattern: VincularPattern) -> np.ndarray:
         raise SizeLimitExceeded(
             f"{count} position sets exceed the listing cap of {cap}"
         )
-    k = pattern.size
-    mat = np.empty((count, k), dtype=np.int64)
-    for row, I in enumerate(enumerate_position_sets(n, pattern)):
-        mat[row] = I.positions
-    return mat - 1
+    # 0-based j-subsets in the lexicographic order of
+    # enumerate_position_sets; adding the offsets shifts them back to
+    # block starts, and each block spans start .. start + b - 1.
+    blocks = pattern.blocks
+    j = pattern.block_count
+    subsets = np.fromiter(
+        chain.from_iterable(combinations(range(n - pattern.size + j), j)),
+        dtype=np.int64, count=count * j,
+    ).reshape(count, j)
+    starts = subsets + np.array(_block_start_offsets(blocks), dtype=np.int64)
+    within = np.concatenate([np.arange(b) for b in blocks])
+    return starts[:, np.repeat(np.arange(j), blocks)] + within
 
 
 def count_occurrences_batch(

@@ -29,7 +29,6 @@ __all__ = [
     "SHUFFLE_STREAM",
     "REDUCTION_STREAM",
     "NORMAL_STREAM",
-    "BOOTSTRAP_STREAM",
     "PINNED_STREAM",
 ]
 
@@ -39,20 +38,22 @@ _INDEX_BITS = 56
 SHUFFLE_STREAM = 0
 REDUCTION_STREAM = 1
 NORMAL_STREAM = 2
-BOOTSTRAP_STREAM = 3
 PINNED_STREAM = 4
 
 
 def substream(seed: int, index: int, stream: int = 0) -> np.random.Generator:
     """Generator for the given (seed, index) substream.
 
-    The Philox key is (seed, stream << 56 | index); indices must fit in
-    56 bits, which leaves room for ~7*10^16 samples per stream.
+    The Philox key is (seed, stream << 56 | index); seeds must fit in 64
+    bits and indices in 56 bits, which leaves room for ~7*10^16 samples
+    per stream.
     """
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed {seed} outside 0..2^64-1")
     if not 0 <= index < (1 << _INDEX_BITS):
         raise ValueError(f"sample index {index} outside 0..2^{_INDEX_BITS}-1")
     word = ((stream << _INDEX_BITS) | index) & _MASK64
-    key = np.array([seed & _MASK64, word], dtype=np.uint64)
+    key = np.array([seed, word], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -213,3 +213,16 @@ def test_exit_code_two_on_usage_errors(runner):
     assert runner.invoke(main, ["rate"], input="not,numbers\nat,all\n").exit_code == 2
     assert runner.invoke(main, ["count", "--pattern", "2,1", "--perm", "1;2"]).exit_code == 2
     assert runner.invoke(main, ["nonsense"]).exit_code == 2
+
+
+def test_seed_threads_and_count_ranges_are_usage_errors(runner):
+    # Seeds key Philox as one 64-bit word; out-of-range values used to alias.
+    sample = ["sample", "--n", "4"]
+    clt = ["clt", "--pattern", "2,1", "--n", "10", "--samples", "100"]
+    for seed in ("-1", str(2**64)):
+        assert runner.invoke(main, sample + ["--seed", seed]).exit_code == 2
+        assert runner.invoke(main, clt + ["--seed", seed, "--threads", "1"]).exit_code == 2
+    assert _ok(runner.invoke(main, sample + ["--seed", str(2**64 - 1)]))["samples"]
+    assert runner.invoke(main, clt + ["--threads", "-4"]).exit_code == 2
+    assert runner.invoke(main, clt + ["--threads", "0"]).exit_code == 2
+    assert runner.invoke(main, sample + ["--count", "-3"]).exit_code == 2

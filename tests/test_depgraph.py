@@ -83,7 +83,7 @@ def test_large_window_graph_skips_edge_count():
     s = graph_summary(100_000_001, parse_pattern("2,1"))
     assert s.D == 3
     assert s.N == 100_000_000
-    assert s.edge_count is None
+    assert s.edge_count == 99_999_999
 
 
 def test_vertex_cap_applies_to_mixed_patterns(monkeypatch):

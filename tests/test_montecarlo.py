@@ -4,6 +4,7 @@ from scipy.special import ndtri
 
 from vincstat.errors import DegenerateInput, EmptySample, PatternTooSmall, TooFewSamples
 from vincstat.montecarlo import (
+    _cumulants_of,
     empirical_kolmogorov,
     fit_rate,
     run_experiment,
@@ -40,7 +41,7 @@ def test_kolmogorov_empty_sample():
 def test_cumulants_of_standard_normal():
     gen = substream(8, 0, NORMAL_STREAM)
     xs = gen.standard_normal(200_000)
-    est = sample_cumulants(xs, seed=8)
+    est = sample_cumulants(xs)
     assert est.k1 == pytest.approx(0.0, abs=5 * est.se1)
     assert est.k2 == pytest.approx(1.0, abs=5 * est.se2)
     assert est.k3 == pytest.approx(0.0, abs=5 * est.se3)
@@ -52,7 +53,7 @@ def test_cumulants_of_known_skewed_sample():
     # Exponential(1): the r-th cumulant is (r-1)!, so 1, 1, 2, 6.
     gen = substream(9, 0, NORMAL_STREAM)
     xs = gen.exponential(size=400_000)
-    est = sample_cumulants(xs, seed=9)
+    est = sample_cumulants(xs)
     for value, se, target in (
         (est.k1, est.se1, 1.0),
         (est.k2, est.se2, 1.0),
@@ -64,12 +65,28 @@ def test_cumulants_of_known_skewed_sample():
 
 def test_cumulants_deterministic_and_guarded():
     xs = np.linspace(-1, 1, 50)
-    a = sample_cumulants(xs, seed=4)
-    b = sample_cumulants(xs, seed=4)
+    a = sample_cumulants(xs)
+    b = sample_cumulants(xs)
     assert a == b
-    assert sample_cumulants(xs, seed=5) != a  # different bootstrap draws
     with pytest.raises(TooFewSamples):
         sample_cumulants(np.array([1.0, 2.0, 3.0, 4.0]))
+
+
+def test_jackknife_mean_error_is_the_standard_error():
+    xs = substream(12, 0, NORMAL_STREAM).exponential(size=1_000)
+    se1 = sample_cumulants(xs).se1
+    assert se1 == pytest.approx(xs.std(ddof=1) / np.sqrt(xs.size), rel=1e-12)
+
+
+def test_jackknife_matches_explicit_leave_one_out():
+    # Reference: recompute the plug-ins on each sample with one point deleted.
+    xs = substream(13, 0, NORMAL_STREAM).exponential(size=50)
+    m = xs.size
+    reps = np.array([_cumulants_of(np.delete(xs, i)) for i in range(m)])
+    expected = np.sqrt((m - 1) / m * ((reps - reps.mean(axis=0)) ** 2).sum(axis=0))
+    est = sample_cumulants(xs)
+    got = np.array([est.se1, est.se2, est.se3, est.se4])
+    np.testing.assert_allclose(got, expected, rtol=1e-12)
 
 
 def test_run_experiment_deterministic_and_thread_invariant():
@@ -158,7 +175,7 @@ def test_cumulants_of_symmetric_two_point_sample():
     # Equal mass on -1 and +1: variance 1, odd cumulants 0, excess
     # kurtosis m4 - 3 m2^2 = -2, all exactly.
     xs = np.tile([-1.0, 1.0], 10)
-    est = sample_cumulants(xs, seed=0)
+    est = sample_cumulants(xs)
     assert est.k1 == pytest.approx(0.0, abs=1e-12)
     assert est.k2 == pytest.approx(1.0, abs=1e-12)
     assert est.k3 == pytest.approx(0.0, abs=1e-12)
@@ -166,7 +183,7 @@ def test_cumulants_of_symmetric_two_point_sample():
 
 
 def test_cumulants_of_constant_sample():
-    est = sample_cumulants(np.full(12, 3.25), seed=0)
+    est = sample_cumulants(np.full(12, 3.25))
     assert est.k2 == est.k3 == est.k4 == 0.0
     assert est.se2 == est.se3 == est.se4 == 0.0
 

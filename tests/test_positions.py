@@ -168,6 +168,17 @@ def test_position_matrix_and_batch_counts():
     assert batch.tolist() == scalar
 
 
+def test_position_matrix_matches_enumeration():
+    # Reference: the lazy enumeration, row by row, shifted to 0-based.
+    for k in range(1, 5):
+        for p in iter_patterns(k):
+            for n in range(10):
+                mat = position_matrix(n, p)
+                rows = [I.positions for I in enumerate_position_sets(n, p)]
+                assert mat.dtype == np.int64 and mat.shape == (len(rows), k), (p, n)
+                assert (mat + 1).tolist() == [list(r) for r in rows], (p, n)
+
+
 def test_batch_accepts_prebuilt_matrix_and_empty():
     p = parse_pattern("1|2|3|4")
     perms = sample_uniform_batch(6, seed=5, count=10)

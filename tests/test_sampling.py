@@ -44,6 +44,9 @@ def test_index_range_check():
         substream(0, -1)
     with pytest.raises(ValueError):
         substream(0, 1 << 56)
+    for seed in (-1, 1 << 64):
+        with pytest.raises(ValueError):
+            substream(seed, 0)
 
 
 def test_batch_rows_match_scalar_calls():
