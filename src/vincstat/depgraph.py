@@ -12,25 +12,32 @@ runs before, between, and after its blocks — and the number of sets
 order, into those runs.  So deg(I) = N - avoid(gaps(I)) - 1.  Two shapes
 admit closed forms: a single block (j=1, sliding windows) and all blocks
 of size one (classical patterns, where avoid = binom(n-k, k) regardless
-of the gaps); everything else is an exact scan over gap compositions.
+of the gaps).  Everything else is an exact scan over all vertices, in
+chunks of a few thousand: each vertex's gaps are the differences of its
+shifted j-subset (the enumeration position_matrix uses), and the packing
+DP runs over the whole chunk at once as a product of one small matrix per
+run, looked up by the run's length.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb, sqrt
+from itertools import accumulate
+from math import comb, inf, isfinite, sqrt
+
+import numpy as np
 
 from . import config
 from .errors import (
     BadOrder,
+    BoundOverflow,
     DegenerateInput,
     NonPositiveDelta,
     NonPositiveInput,
     SizeLimitExceeded,
 )
 from .patterns import VincularPattern
-from .positions import position_count
+from .positions import _subset_rows, position_count
 
 __all__ = [
     "DependencyGraphSummary",
@@ -39,6 +46,11 @@ __all__ = [
     "cumulant_bound",
     "saulis_bound",
 ]
+
+# Vertices per step of the gap-composition scan: large enough that numpy
+# overhead is amortized, small enough that the scan's arrays stay well
+# under a megabyte.
+_SCAN_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -51,46 +63,38 @@ class DependencyGraphSummary:
     edge_count: int
 
 
-def _packings(gaps: tuple[int, ...], blocks: tuple[int, ...]) -> int:
-    """Number of ways to place the ordered blocks disjointly into the
-    ordered free runs (lengths `gaps`), keeping each block contiguous.
-
-    Placing a consecutive group of blocks with total size s and count c
-    into one run of length L has binom(L - s + c, c) outcomes, so a
-    left-to-right DP over runs suffices.
-    """
+def _packing_table(free: int, blocks: tuple[int, ...]) -> np.ndarray:
+    """table[L, placed, upto] = binom(L - size + count, count): the ways to
+    place blocks placed+1 .. upto (count of them, total size `size`),
+    contiguous and in order, into one free run of length L <= free.  Zero
+    where upto < placed or the blocks do not fit."""
     j = len(blocks)
-    prefix = [0]
-    for b in blocks:
-        prefix.append(prefix[-1] + b)
-    dp = [0] * (j + 1)
-    dp[0] = 1
-    for length in gaps:
-        new = [0] * (j + 1)
-        for placed in range(j + 1):
-            ways_here = dp[placed]
-            if ways_here == 0:
-                continue
-            for upto in range(placed, j + 1):
-                size = prefix[upto] - prefix[placed]
-                if size > length:
-                    break
-                count = upto - placed
-                new[upto] += ways_here * comb(length - size + count, count)
-        dp = new
-    return dp[j]
+    prefix = [0, *accumulate(blocks)]
+    table = np.zeros((free + 1, j + 1, j + 1), dtype=np.int64)
+    for placed in range(j + 1):
+        for upto in range(placed, j + 1):
+            size = prefix[upto] - prefix[placed]
+            count = upto - placed
+            for length in range(size, free + 1):
+                table[length, placed, upto] = comb(length - size + count, count)
+    return table
 
 
-def _gap_compositions(total: int, parts: int):
-    """All weak compositions of `total` into `parts` parts."""
-    for cut in combinations(range(total + parts - 1), parts - 1):
-        prev = -1
-        gaps = []
-        for c in cut:
-            gaps.append(c - prev - 1)
-            prev = c
-        gaps.append(total + parts - 2 - prev)
-        yield tuple(gaps)
+def _packings(gaps: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Number of ways to place the ordered blocks disjointly into the
+    ordered free runs of each row of `gaps` (rows, j+1), keeping each block
+    contiguous: a left-to-right DP over the runs, for all rows at once,
+    whose step for a run of length L is the matrix table[L].
+
+    Every DP entry counts placements of some leading blocks into the n-k
+    free cells, and so does every table entry; either is at most
+    binom(n-k+j, j) = N, so int64 is exact for any N a scan can reach.
+    """
+    dp = np.zeros((len(gaps), 1, table.shape[1]), dtype=np.int64)
+    dp[:, 0, 0] = 1
+    for length in gaps.T:
+        dp = dp @ table[length]
+    return dp[:, 0, -1]
 
 
 def graph_summary(n: int, pattern: VincularPattern) -> DependencyGraphSummary:
@@ -122,26 +126,44 @@ def graph_summary(n: int, pattern: VincularPattern) -> DependencyGraphSummary:
             f"{N} vertices exceed the scan cap {cap} and pattern "
             f"{pattern} has no closed-form degree"
         )
-    min_avoid = None
+    free = n - k
+    table = _packing_table(free, pattern.blocks)
+    min_avoid = N
     avoid_total = 0
-    for gaps in _gap_compositions(n - k, j + 1):
-        a = _packings(gaps, pattern.blocks)
-        avoid_total += a
-        if min_avoid is None or a < min_avoid:
-            min_avoid = a
+    for subsets in _subset_rows(n, pattern, _SCAN_CHUNK):
+        # The free runs before, between and after the blocks of each
+        # vertex: the weak compositions of n-k into j+1 parts.
+        gaps = np.diff(subsets, prepend=-1, append=free + j) - 1
+        avoid = _packings(gaps, table)
+        min_avoid = min(min_avoid, int(avoid.min()))
+        # avoid <= N, so a chunk's int64 sum stays below _SCAN_CHUNK * N.
+        avoid_total += int(avoid.sum())
     D = N - min_avoid
     edges = (N * N - avoid_total - N) // 2
     return DependencyGraphSummary(n, k, j, N, D, edges)
+
+
+def _finite_bound(name: str, compute) -> float:
+    """compute(), or BoundOverflow when the value leaves the float range
+    (an overflow, a division by an underflowed zero, or inf * 0)."""
+    try:
+        value = compute()
+    except (OverflowError, ZeroDivisionError):
+        value = inf
+    if not isfinite(value):
+        raise BoundOverflow(f"{name} is outside the float range")
+    return value
 
 
 def stein_bound(N: int, D: int, B: float, sigma2: float) -> float:
     """Two-term Kolmogorov-distance bound for a sum of N bounded variables
     with dependency parameter D and variance sigma2:
     8 B^2 D^(3/2) N^(1/2) / sigma^2  +  8 B^3 D^2 N / sigma^3."""
-    if N <= 0 or D <= 0 or B <= 0 or sigma2 <= 0:
-        raise NonPositiveInput("stein_bound requires positive N, D, B, sigma2")
-    sigma3 = sigma2 ** 1.5
-    return 8 * B**2 * D**1.5 * sqrt(N) / sigma2 + 8 * B**3 * D**2 * N / sigma3
+    if not all(0 < x < inf for x in (N, D, B, sigma2)):
+        raise NonPositiveInput("stein_bound requires positive, finite N, D, B, sigma2")
+    return _finite_bound("stein_bound", lambda: (
+        8 * B**2 * D**1.5 * sqrt(N) / sigma2 + 8 * B**3 * D**2 * N / sigma2**1.5
+    ))
 
 
 def cumulant_bound(r: int, N: int, D: int, B: float) -> float:
@@ -149,17 +171,21 @@ def cumulant_bound(r: int, N: int, D: int, B: float) -> float:
     2^(r-1) r^(r-2) N D^(r-1) B^r."""
     if r < 1:
         raise BadOrder(f"cumulant order must be >= 1, got {r}")
-    if N <= 0 or D <= 0 or B <= 0:
-        raise NonPositiveInput("cumulant_bound requires positive N, D, B")
-    return 2 ** (r - 1) * float(r) ** (r - 2) * N * D ** (r - 1) * B**r
+    if not all(0 < x < inf for x in (N, D, B)):
+        raise NonPositiveInput("cumulant_bound requires positive, finite N, D, B")
+    return _finite_bound("cumulant_bound", lambda: (
+        2 ** (r - 1) * float(r) ** (r - 2) * N * D ** (r - 1) * B**r
+    ))
 
 
 def saulis_bound(gamma: float, delta: float) -> float:
     """Kolmogorov-distance bound for a standardized variable whose
     cumulants satisfy the (gamma, Delta) growth condition:
     108 / (Delta * sqrt(2)/6)^(1/(1+2*gamma))."""
-    if delta <= 0:
-        raise NonPositiveDelta(f"delta must be positive, got {delta}")
-    if gamma < 0:
-        raise NonPositiveInput(f"gamma must be >= 0, got {gamma}")
-    return 108.0 / (delta * sqrt(2) / 6) ** (1.0 / (1.0 + 2.0 * gamma))
+    if not 0 < delta < inf:
+        raise NonPositiveDelta(f"delta must be positive and finite, got {delta}")
+    if not 0 <= gamma < inf:
+        raise NonPositiveInput(f"gamma must be >= 0 and finite, got {gamma}")
+    return _finite_bound("saulis_bound", lambda: (
+        108.0 / (delta * sqrt(2) / 6) ** (1.0 / (1.0 + 2.0 * gamma))
+    ))

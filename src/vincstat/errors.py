@@ -99,6 +99,10 @@ class NonPositiveDelta(VincstatError):
     """Saulis bound requires delta > 0."""
 
 
+class BoundOverflow(VincstatError):
+    """A bound's value lies outside the range of a float."""
+
+
 # --- monte carlo ------------------------------------------------------------
 
 class EmptySample(VincstatError):

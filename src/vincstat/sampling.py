@@ -45,14 +45,16 @@ def substream(seed: int, index: int, stream: int = 0) -> np.random.Generator:
     """Generator for the given (seed, index) substream.
 
     The Philox key is (seed, stream << 56 | index); seeds must fit in 64
-    bits and indices in 56 bits, which leaves room for ~7*10^16 samples
-    per stream.
+    bits, indices in 56 bits (room for ~7*10^16 samples per stream) and
+    stream tags in the remaining 8.
     """
     if not 0 <= seed <= _MASK64:
         raise ValueError(f"seed {seed} outside 0..2^64-1")
     if not 0 <= index < (1 << _INDEX_BITS):
         raise ValueError(f"sample index {index} outside 0..2^{_INDEX_BITS}-1")
-    word = ((stream << _INDEX_BITS) | index) & _MASK64
+    if not 0 <= stream < (1 << (64 - _INDEX_BITS)):
+        raise ValueError(f"stream tag {stream} outside 0..2^{64 - _INDEX_BITS}-1")
+    word = (stream << _INDEX_BITS) | index
     key = np.array([seed, word], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

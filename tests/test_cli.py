@@ -215,6 +215,22 @@ def test_exit_code_two_on_usage_errors(runner):
     assert runner.invoke(main, ["nonsense"]).exit_code == 2
 
 
+def test_non_finite_and_overflowing_bounds_are_json_errors(runner):
+    stein = ["bounds", "--kind", "stein", "--N", "10", "--D", "3"]
+    cases = [
+        (stein + ["--sigma2", "nan"], "NonPositiveInput"),
+        (stein + ["--sigma2", "inf"], "NonPositiveInput"),
+        (stein + ["--sigma2", "1", "--B", "nan"], "NonPositiveInput"),
+        (["bounds", "--kind", "saulis", "--gamma", "0", "--delta", "inf"], "NonPositiveDelta"),
+        (["bounds", "--kind", "cumulant", "--r", "200", "--N", "10", "--D", "100000"],
+         "BoundOverflow"),
+    ]
+    for args, error in cases:
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1, args
+        assert json.loads(result.output)["error"]["type"] == error, args
+
+
 def test_seed_threads_and_count_ranges_are_usage_errors(runner):
     # Seeds key Philox as one 64-bit word; out-of-range values used to alias.
     sample = ["sample", "--n", "4"]

@@ -1,11 +1,15 @@
+import time
 from itertools import combinations
 from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from vincstat import depgraph
 from vincstat.errors import (
     BadOrder,
+    BoundOverflow,
     DegenerateInput,
     NonPositiveDelta,
     NonPositiveInput,
@@ -18,7 +22,7 @@ from vincstat.depgraph import (
     stein_bound,
 )
 from vincstat.moments import variance_polynomial
-from vincstat.patterns import parse_pattern
+from vincstat.patterns import Permutation, VincularPattern, parse_pattern
 from vincstat.positions import enumerate_position_sets, position_count
 
 
@@ -54,6 +58,47 @@ def test_matches_brute_force():
             assert s.N == N == position_count(n, p), (text, n)
             assert s.D == D, (text, n)
             assert s.edge_count == edges, (text, n)
+
+
+@st.composite
+def _mixed_patterns(draw):
+    """Patterns with 2 <= j < k <= 6 (neither window nor classical), so
+    graph_summary takes the gap-composition scan, and an extra n - k <= 8."""
+    k = draw(st.integers(3, 6))
+    cuts = draw(st.sets(st.integers(1, k - 1), min_size=1, max_size=k - 2))
+    order = Permutation(tuple(draw(st.permutations(range(1, k + 1)))))
+    pattern = VincularPattern(order, frozenset(range(1, k)) - cuts)
+    return pattern, draw(st.integers(0, 8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mixed_patterns())
+def test_scan_matches_brute_force_property(case):
+    p, extra = case
+    assert 2 <= p.block_count < p.size
+    n = p.size + extra
+    s = graph_summary(n, p)
+    assert (s.N, s.D, s.edge_count) == _brute_summary(n, p), (p, n)
+
+
+def test_scan_is_independent_of_chunking(monkeypatch):
+    # Chunks of 5 vertices put most chunk boundaries mid-way through a run
+    # of equal leading subset elements.
+    cases = [("3|1,2", 17), ("2,1|3", 16), ("4|1,3|2", 15), ("2,1|3|4", 20)]
+    whole = [graph_summary(n, parse_pattern(t)) for t, n in cases]
+    monkeypatch.setattr(depgraph, "_SCAN_CHUNK", 5)
+    assert [graph_summary(n, parse_pattern(t)) for t, n in cases] == whole
+    monkeypatch.setattr(depgraph, "_SCAN_CHUNK", 1)
+    assert [graph_summary(n, parse_pattern(t)) for t, n in cases[:2]] == whole[:2]
+
+
+def test_large_scan_pinned():
+    # 540 274 vertices, and an edge count above 2^33.
+    start = time.perf_counter()
+    s = graph_summary(150, parse_pattern("2,1|3|4"))
+    elapsed = time.perf_counter() - start
+    assert (s.N, s.D, s.edge_count) == (540274, 73094, 14223414681)
+    assert elapsed < 1.0, elapsed
 
 
 def test_classical_graph_is_regular():
@@ -141,6 +186,30 @@ def test_bound_argument_validation():
         saulis_bound(0.5, 0.0)
     with pytest.raises(NonPositiveInput):
         saulis_bound(-0.5, 1.0)
+    # NaN passed every `<= 0` test, and inf gave an unprintable bound.
+    nan, inf = float("nan"), float("inf")
+    for bad in (nan, inf):
+        with pytest.raises(NonPositiveInput):
+            stein_bound(10, 3, 1.0, bad)
+        with pytest.raises(NonPositiveInput):
+            stein_bound(10, 3, bad, 1.0)
+        with pytest.raises(NonPositiveInput):
+            cumulant_bound(3, 10, 3, bad)
+        with pytest.raises(NonPositiveInput):
+            saulis_bound(bad, 1.0)
+        with pytest.raises(NonPositiveDelta):
+            saulis_bound(0.5, bad)
+    with pytest.raises(NonPositiveInput):
+        cumulant_bound(2, nan, 1, 1.0)
+    # Finite inputs whose bound leaves the float range.
+    with pytest.raises(BoundOverflow):
+        cumulant_bound(200, 10, 100_000, 1.0)
+    with pytest.raises(BoundOverflow):
+        cumulant_bound(2, 10, 1, 1e200)
+    with pytest.raises(BoundOverflow):
+        stein_bound(10, 3, 1.0, 1e-300)
+    with pytest.raises(BoundOverflow):
+        saulis_bound(0.0, 5e-324)
 
 
 def test_stein_rate_for_adjacent_descent():

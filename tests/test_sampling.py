@@ -47,6 +47,11 @@ def test_index_range_check():
     for seed in (-1, 1 << 64):
         with pytest.raises(ValueError):
             substream(seed, 0)
+    # Tags outside 8 bits used to alias: 256 was masked onto tag 0.
+    for stream in (-1, 256):
+        with pytest.raises(ValueError):
+            substream(0, 5, stream)
+    assert substream(0, 5, 255).random() != substream(0, 5, 0).random()
 
 
 def test_batch_rows_match_scalar_calls():
