@@ -5,6 +5,9 @@ JSON on stdout (CSV where noted); exact rationals are always serialized
 as "p/q" strings.  Exit codes: 0 success, 1 computation error (limits,
 degenerate inputs — reported as a structured JSON error object), 2 usage
 error (diagnostic on stderr, courtesy of the argument parser).
+
+The group's `invoke` is the one error boundary: a VincstatError from any
+subcommand becomes the JSON error object with exit code 1.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ CSV_COLUMNS = [
 
 # Philox keys take the seed as one 64-bit word.
 SEED = click.IntRange(0, 2**64 - 1)
+# Host sizes: a negative --n is a usage error.
+SIZE = click.IntRange(min=0)
 
 
 def _frac(q: Fraction) -> str:
@@ -49,6 +54,16 @@ def _fail(err: VincstatError) -> None:
     sys.exit(1)
 
 
+class _ErrorBoundary(click.Group):
+    """Reports a VincstatError from any subcommand as the JSON error."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except VincstatError as err:
+            _fail(err)
+
+
 def _parse_perm(text: str) -> Permutation:
     try:
         values = tuple(int(t) for t in text.split(","))
@@ -57,10 +72,11 @@ def _parse_perm(text: str) -> Permutation:
     return Permutation(values)
 
 
-@click.group()
+@click.group(cls=_ErrorBoundary)
 @click.option(
     "--unsafe-size", is_flag=True,
-    help="Raise the exact-moment limit to k=6 (up to 8065 overlap classes).",
+    help="Raise the exact-moment limit to k=6 (up to 8065 overlap classes); "
+         "never lowers a larger VINCSTAT_MAX_K.",
 )
 @click.pass_context
 def main(ctx: click.Context, unsafe_size: bool) -> None:
@@ -75,16 +91,13 @@ def main(ctx: click.Context, unsafe_size: bool) -> None:
               help="Host permutation, comma-separated one-line notation.")
 def count(pattern_text: str, perm_text: str) -> None:
     """Count pattern occurrences in one permutation."""
-    try:
-        pattern = parse_pattern(pattern_text)
-        sigma = _parse_perm(perm_text)
-        _emit({"count": count_occurrences(sigma, pattern)})
-    except VincstatError as err:
-        _fail(err)
+    pattern = parse_pattern(pattern_text)
+    sigma = _parse_perm(perm_text)
+    _emit({"count": count_occurrences(sigma, pattern)})
 
 
 @main.command()
-@click.option("--n", type=int, required=True)
+@click.option("--n", type=SIZE, required=True)
 @click.option("--seed", type=SEED, default=0, show_default=True)
 @click.option("--count", "how_many", type=click.IntRange(min=0), default=1,
               show_default=True)
@@ -92,31 +105,24 @@ def count(pattern_text: str, perm_text: str) -> None:
               default="shuffle", show_default=True)
 def sample(n: int, seed: int, how_many: int, method: str) -> None:
     """Draw seeded uniform permutations."""
-    try:
-        draw = sample_uniform if method == "shuffle" else sample_by_reduction
-        samples = [list(draw(n, seed, index).values) for index in range(how_many)]
-        _emit({"n": n, "seed": seed, "method": method, "samples": samples})
-    except VincstatError as err:
-        _fail(err)
+    draw = sample_uniform if method == "shuffle" else sample_by_reduction
+    samples = [list(draw(n, seed, index).values) for index in range(how_many)]
+    _emit({"n": n, "seed": seed, "method": method, "samples": samples})
 
 
 @main.command()
 @click.option("--pattern", "pattern_text", required=True)
-@click.option("--n", type=int, required=True)
+@click.option("--n", type=SIZE, required=True)
 @click.pass_context
 def moments(ctx: click.Context, pattern_text: str, n: int) -> None:
     """Exact mean and variance of the occurrence count at size n."""
-    try:
-        pattern = parse_pattern(pattern_text)
-        unsafe = ctx.obj["unsafe"]
-        _emit({
-            "pattern": pattern_text,
-            "n": n,
-            "mean": _frac(expectation(pattern, n)),
-            "variance": _frac(exact_variance_at(pattern, n, unsafe)),
-        })
-    except VincstatError as err:
-        _fail(err)
+    pattern = parse_pattern(pattern_text)
+    _emit({
+        "pattern": pattern_text,
+        "n": n,
+        "mean": _frac(expectation(pattern, n)),
+        "variance": _frac(exact_variance_at(pattern, n, ctx.obj["unsafe"])),
+    })
 
 
 @main.command("var-poly")
@@ -124,41 +130,35 @@ def moments(ctx: click.Context, pattern_text: str, n: int) -> None:
 @click.pass_context
 def var_poly(ctx: click.Context, pattern_text: str) -> None:
     """Exact variance polynomial in n (ascending coefficients)."""
-    try:
-        pattern = parse_pattern(pattern_text)
-        poly = variance_polynomial(pattern, ctx.obj["unsafe"])
-        _emit({
-            "pattern": pattern_text,
-            "coefficients": [_frac(c) for c in poly.coefficients],
-            "valid_from": poly.valid_from,
-            "degree": poly.degree,
-            "leading_coefficient": _frac(poly.leading_coefficient),
-        })
-    except VincstatError as err:
-        _fail(err)
+    pattern = parse_pattern(pattern_text)
+    poly = variance_polynomial(pattern, ctx.obj["unsafe"])
+    _emit({
+        "pattern": pattern_text,
+        "coefficients": [_frac(c) for c in poly.coefficients],
+        "valid_from": poly.valid_from,
+        "degree": poly.degree,
+        "leading_coefficient": _frac(poly.leading_coefficient),
+    })
 
 
 @main.command()
 @click.option("--pattern", "pattern_text", required=True)
-@click.option("--n", type=int, required=True)
+@click.option("--n", type=SIZE, required=True)
 def depgraph(pattern_text: str, n: int) -> None:
     """Dependency-graph summary: N, D, edge count."""
-    try:
-        pattern = parse_pattern(pattern_text)
-        g = graph_summary(n, pattern)
-        _emit({
-            "pattern": pattern_text, "n": g.n, "k": g.k, "j": g.j,
-            "N": g.N, "D": g.D, "edge_count": g.edge_count,
-        })
-    except VincstatError as err:
-        _fail(err)
+    pattern = parse_pattern(pattern_text)
+    g = graph_summary(n, pattern)
+    _emit({
+        "pattern": pattern_text, "n": g.n, "k": g.k, "j": g.j,
+        "N": g.N, "D": g.D, "edge_count": g.edge_count,
+    })
 
 
 @main.command()
 @click.option("--kind", type=click.Choice(["stein", "cumulant", "saulis"]), required=True)
 @click.option("--pattern", "pattern_text", default=None,
               help="Compute N, D, sigma2 from this pattern at --n.")
-@click.option("--n", type=int, default=None)
+@click.option("--n", type=SIZE, default=None)
 @click.option("--N", "big_n", type=int, default=None)
 @click.option("--D", "big_d", type=int, default=None)
 @click.option("--B", "bound_b", type=float, default=1.0, show_default=True)
@@ -170,43 +170,40 @@ def depgraph(pattern_text: str, n: int) -> None:
 def bounds(ctx, kind, pattern_text, n, big_n, big_d, bound_b, sigma2, r, gamma, delta):
     """Evaluate a normal-approximation bound from supplied or computed
     inputs."""
-    try:
-        if kind == "saulis":
-            if gamma is None or delta is None:
-                raise click.UsageError("kind=saulis needs --gamma and --delta")
-            _emit({"kind": kind, "gamma": gamma, "delta": delta,
-                   "value": saulis_bound(gamma, delta)})
-            return
-        if pattern_text is not None:
-            if n is None:
-                raise click.UsageError("--pattern needs --n")
-            pattern = parse_pattern(pattern_text)
-            summary = graph_summary(n, pattern)
-            big_n = summary.N if big_n is None else big_n
-            big_d = summary.D if big_d is None else big_d
-            if sigma2 is None and kind == "stein":
-                sigma2 = float(exact_variance_at(pattern, n, ctx.obj["unsafe"]))
-        if big_n is None or big_d is None:
-            raise click.UsageError("need --N and --D (or --pattern/--n)")
-        if kind == "stein":
-            if sigma2 is None:
-                raise click.UsageError("kind=stein needs --sigma2 (or --pattern/--n)")
-            value = stein_bound(big_n, big_d, bound_b, sigma2)
-            _emit({"kind": kind, "N": big_n, "D": big_d, "B": bound_b,
-                   "sigma2": sigma2, "value": value})
-        else:
-            if r is None:
-                raise click.UsageError("kind=cumulant needs --r")
-            value = cumulant_bound(r, big_n, big_d, bound_b)
-            _emit({"kind": kind, "r": r, "N": big_n, "D": big_d, "B": bound_b,
-                   "value": value})
-    except VincstatError as err:
-        _fail(err)
+    if kind == "saulis":
+        if gamma is None or delta is None:
+            raise click.UsageError("kind=saulis needs --gamma and --delta")
+        _emit({"kind": kind, "gamma": gamma, "delta": delta,
+               "value": saulis_bound(gamma, delta)})
+        return
+    if pattern_text is not None:
+        if n is None:
+            raise click.UsageError("--pattern needs --n")
+        pattern = parse_pattern(pattern_text)
+        summary = graph_summary(n, pattern)
+        big_n = summary.N if big_n is None else big_n
+        big_d = summary.D if big_d is None else big_d
+        if sigma2 is None and kind == "stein":
+            sigma2 = float(exact_variance_at(pattern, n, ctx.obj["unsafe"]))
+    if big_n is None or big_d is None:
+        raise click.UsageError("need --N and --D (or --pattern/--n)")
+    if kind == "stein":
+        if sigma2 is None:
+            raise click.UsageError("kind=stein needs --sigma2 (or --pattern/--n)")
+        value = stein_bound(big_n, big_d, bound_b, sigma2)
+        _emit({"kind": kind, "N": big_n, "D": big_d, "B": bound_b,
+               "sigma2": sigma2, "value": value})
+    else:
+        if r is None:
+            raise click.UsageError("kind=cumulant needs --r")
+        value = cumulant_bound(r, big_n, big_d, bound_b)
+        _emit({"kind": kind, "r": r, "N": big_n, "D": big_d, "B": bound_b,
+               "value": value})
 
 
 @main.command()
 @click.option("--pattern", "pattern_text", required=True)
-@click.option("--n", type=int, required=True)
+@click.option("--n", type=SIZE, required=True)
 @click.option("--samples", type=int, required=True)
 @click.option("--seed", type=SEED, default=0, show_default=True)
 @click.option("--threads", type=click.IntRange(min=1), default=None,
@@ -217,33 +214,30 @@ def bounds(ctx, kind, pattern_text, n, big_n, big_d, bound_b, sigma2, r, gamma, 
 @click.pass_context
 def clt(ctx, pattern_text, n, samples, seed, threads, fmt):
     """Sample the standardized statistic; report d_K and cumulants."""
-    try:
-        pattern = parse_pattern(pattern_text)
-        if threads is None:
-            threads = os.cpu_count() or 1
-        rep = run_experiment(pattern, n, samples, seed, threads=threads,
-                             unsafe=ctx.obj["unsafe"])
-        c = rep.cumulants
-        if fmt == "csv":
-            buf = io.StringIO()
-            writer = csv.writer(buf)
-            writer.writerow(CSV_COLUMNS)
-            writer.writerow([
-                rep.pattern, rep.n, rep.samples, rep.seed, repr(rep.d_K),
-                repr(c.k1), repr(c.k2), repr(c.k3), repr(c.k4),
-                repr(c.se3), repr(c.se4), str(rep.used_exact_moments).lower(),
-            ])
-            click.echo(buf.getvalue(), nl=False)
-        else:
-            _emit({
-                "pattern": rep.pattern, "n": rep.n, "m": rep.samples,
-                "seed": rep.seed, "d_K": rep.d_K,
-                "cumulants": {"k1": c.k1, "k2": c.k2, "k3": c.k3, "k4": c.k4},
-                "std_errors": {"se1": c.se1, "se2": c.se2, "se3": c.se3, "se4": c.se4},
-                "exact_moments": rep.used_exact_moments,
-            })
-    except VincstatError as err:
-        _fail(err)
+    pattern = parse_pattern(pattern_text)
+    if threads is None:
+        threads = os.cpu_count() or 1
+    rep = run_experiment(pattern, n, samples, seed, threads=threads,
+                         unsafe=ctx.obj["unsafe"])
+    c = rep.cumulants
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(CSV_COLUMNS)
+        writer.writerow([
+            rep.pattern, rep.n, rep.samples, rep.seed, repr(rep.d_K),
+            repr(c.k1), repr(c.k2), repr(c.k3), repr(c.k4),
+            repr(c.se3), repr(c.se4), str(rep.used_exact_moments).lower(),
+        ])
+        click.echo(buf.getvalue(), nl=False)
+    else:
+        _emit({
+            "pattern": rep.pattern, "n": rep.n, "m": rep.samples,
+            "seed": rep.seed, "d_K": rep.d_K,
+            "cumulants": {"k1": c.k1, "k2": c.k2, "k3": c.k3, "k4": c.k4},
+            "std_errors": {"se1": c.se1, "se2": c.se2, "se3": c.se3, "se4": c.se4},
+            "exact_moments": rep.used_exact_moments,
+        })
 
 
 @main.command()
@@ -267,10 +261,7 @@ def rate(csv_file) -> None:
         points = [(float(row[n_col]), float(row[d_col])) for row in rows]
     except (ValueError, IndexError) as err:
         raise click.UsageError(f"bad CSV input: {err}")
-    try:
-        fit = fit_rate(points)
-    except VincstatError as err:
-        _fail(err)
+    fit = fit_rate(points)
     _emit({
         "points": [[n, d] for n, d in fit.points],
         "slope": fit.slope,
@@ -281,7 +272,7 @@ def rate(csv_file) -> None:
 
 @main.command()
 @click.option("--pattern", "pattern_text", required=True)
-@click.option("--n", type=int, required=True)
+@click.option("--n", type=SIZE, required=True)
 @click.option("--distribution", "mode", flag_value="distribution")
 @click.option("--moments", "mode", flag_value="moments", default=True)
 @click.option("--ltv", type=int, default=None,
@@ -289,33 +280,30 @@ def rate(csv_file) -> None:
                    "trailing values.")
 def oracle(pattern_text, n, mode, ltv) -> None:
     """Brute-force ground truth over all n! permutations."""
-    try:
-        pattern = parse_pattern(pattern_text)
-        if ltv is not None:
-            rep = total_variance_check(pattern, n, ltv)
-            _emit({
-                "pattern": pattern_text, "n": n, "c": rep.c,
-                "terms": [
-                    {"label": label, "value": _frac(term)}
-                    for label, term in zip(rep.labels, rep.terms)
-                ],
-                "total": _frac(rep.total),
-                "variance": _frac(rep.variance),
-            })
-        elif mode == "distribution":
-            dist = brute_force_distribution(pattern, n)
-            _emit({
-                "pattern": pattern_text, "n": n,
-                "distribution": {str(v): _frac(p) for v, p in sorted(dist.items())},
-            })
-        else:
-            mean, variance = brute_force_moments(pattern, n)
-            _emit({
-                "pattern": pattern_text, "n": n,
-                "mean": _frac(mean), "variance": _frac(variance),
-            })
-    except VincstatError as err:
-        _fail(err)
+    pattern = parse_pattern(pattern_text)
+    if ltv is not None:
+        rep = total_variance_check(pattern, n, ltv)
+        _emit({
+            "pattern": pattern_text, "n": n, "c": rep.c,
+            "terms": [
+                {"label": label, "value": _frac(term)}
+                for label, term in zip(rep.labels, rep.terms)
+            ],
+            "total": _frac(rep.total),
+            "variance": _frac(rep.variance),
+        })
+    elif mode == "distribution":
+        dist = brute_force_distribution(pattern, n)
+        _emit({
+            "pattern": pattern_text, "n": n,
+            "distribution": {str(v): _frac(p) for v, p in sorted(dist.items())},
+        })
+    else:
+        mean, variance = brute_force_moments(pattern, n)
+        _emit({
+            "pattern": pattern_text, "n": n,
+            "mean": _frac(mean), "variance": _frac(variance),
+        })
 
 
 if __name__ == "__main__":

@@ -12,8 +12,8 @@ from .errors import MalformedLimit
 
 # The exact variance sums over the overlap classes of two intersecting
 # k-sets, whose union size is t <= 2k - 1: at most 1431 classes for k = 5
-# and 8065 for k = 6.  The k limit caps that sum and, through
-# max_joint_t, the union size a joint probability may have.
+# and 8065 for k = 6.  The k limit caps that sum; VINCSTAT_MAX_K sets it,
+# and the unsafe flag raises it to at least UNSAFE_MAX_EXACT_K.
 DEFAULT_MAX_EXACT_K = 5
 UNSAFE_MAX_EXACT_K = 6
 
@@ -40,15 +40,16 @@ def _env_int(name: str, default: int) -> int:
 
 
 def max_exact_k(unsafe: bool = False) -> int:
-    """Largest pattern size accepted by the exact-moment routines."""
-    if unsafe:
-        return UNSAFE_MAX_EXACT_K
-    return _env_int("VINCSTAT_MAX_K", DEFAULT_MAX_EXACT_K)
+    """Largest pattern size accepted by the exact-moment routines:
+    VINCSTAT_MAX_K, raised (never lowered) to UNSAFE_MAX_EXACT_K by unsafe."""
+    limit = _env_int("VINCSTAT_MAX_K", DEFAULT_MAX_EXACT_K)
+    return max(limit, UNSAFE_MAX_EXACT_K) if unsafe else limit
 
 
-def max_joint_t(unsafe: bool = False) -> int:
-    """Largest overlap-class union size for a joint probability."""
-    return 2 * max_exact_k(unsafe) - 1
+def max_joint_t() -> int:
+    """Largest union size at the exact-moment limit.  No longer enforced
+    (a joint probability costs O(k^2) at any t); the benchmark records it."""
+    return 2 * max_exact_k() - 1
 
 
 def oracle_max_n() -> int:

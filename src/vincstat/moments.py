@@ -29,6 +29,7 @@ from typing import Iterator, Sequence
 from . import config
 from .errors import (
     BadWindow,
+    DegenerateInput,
     DegreeCertificateFailed,
     PatternTooSmall,
     SizeLimitExceeded,
@@ -51,6 +52,8 @@ __all__ = [
 
 def expectation(pattern: VincularPattern, n: int) -> Fraction:
     """Exact mean of the occurrence count: position_count / k!."""
+    if n < 0:
+        raise DegenerateInput(f"host size n={n} is negative")
     return Fraction(position_count(n, pattern), factorial(pattern.size))
 
 
@@ -99,7 +102,7 @@ class OverlapClass:
 _JOINT_CACHE: dict[tuple, Fraction] = {}
 
 
-def joint_probability(cls: OverlapClass, pi: Permutation, unsafe: bool = False) -> Fraction:
+def joint_probability(cls: OverlapClass, pi: Permutation) -> Fraction:
     """P(both indicators are 1) for a pair in this overlap class.
 
     On each mask the pattern orders the union ranks into a chain by
@@ -107,15 +110,11 @@ def joint_probability(cls: OverlapClass, pi: Permutation, unsafe: bool = False) 
     chains, divided by t!.  A down-set of the two chains is a prefix of
     each, so the extensions are counted by a DP over prefix pairs
     (a, b), in which a rank on both chains is placed on both at once.
+    The DP costs O(k^2) at any t, so no size limit applies here.
     """
     k = pi.size
     if len(cls.i_mask) != k or len(cls.j_mask) != k:
         raise ValueError(f"class masks have size {len(cls.i_mask)}, pattern has size {k}")
-    limit = config.max_joint_t(unsafe)
-    if cls.t > limit:
-        raise SizeLimitExceeded(
-            f"union size {cls.t} exceeds the joint-probability limit {limit}"
-        )
     canon = cls.canonical()
     key = (pi.values, canon.t, canon.i_mask, canon.j_mask)
     hit = _JOINT_CACHE.get(key)
@@ -144,9 +143,9 @@ def joint_probability(cls: OverlapClass, pi: Permutation, unsafe: bool = False) 
     return result
 
 
-def covariance(cls: OverlapClass, pi: Permutation, unsafe: bool = False) -> Fraction:
+def covariance(cls: OverlapClass, pi: Permutation) -> Fraction:
     """Cov of the two indicators: joint probability minus (1/k!)^2."""
-    return joint_probability(cls, pi, unsafe) - Fraction(1, factorial(pi.size) ** 2)
+    return joint_probability(cls, pi) - Fraction(1, factorial(pi.size) ** 2)
 
 
 def _overlap_classes(pattern: VincularPattern, max_t: int) -> Iterator[tuple[OverlapClass, int]]:
@@ -189,7 +188,7 @@ def _class_weights(
         raise SizeLimitExceeded(f"pattern size {k} exceeds the exact-moment limit {limit}")
     weights: dict[tuple[int, int], Fraction] = {}
     for cls, c in _overlap_classes(pattern, max_t):
-        weights[cls.t, c] = weights.get((cls.t, c), 0) + covariance(cls, pattern.order, unsafe)
+        weights[cls.t, c] = weights.get((cls.t, c), 0) + covariance(cls, pattern.order)
     return weights
 
 
@@ -197,6 +196,8 @@ def exact_variance_at(pattern: VincularPattern, n: int, unsafe: bool = False) ->
     """Exact variance of the occurrence count at host size n: each
     overlap class with union size t <= n contributes binom(n-c, t-c)
     covariances."""
+    if n < 0:
+        raise DegenerateInput(f"host size n={n} is negative")
     weights = _class_weights(pattern, unsafe, max_t=n)
     return sum((comb(n - c, t - c) * w for (t, c), w in weights.items()), Fraction(0))
 

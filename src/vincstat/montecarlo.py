@@ -134,9 +134,9 @@ def run_experiment(
     standardize, and summarize.
 
     Standardization uses the exact mean and variance when the pattern is
-    within the exact-moment limit (raised to k=6 by unsafe), otherwise
-    sample moments (recorded in the report).  Output is identical for
-    every thread count.
+    within the exact-moment limit (raised to at least k=6 by unsafe),
+    otherwise sample moments (recorded in the report).  Output is
+    identical for every thread count.
     """
     if pattern.size < 2:
         raise PatternTooSmall("the normal limit concerns patterns of size k >= 2")
@@ -152,7 +152,9 @@ def run_experiment(
     ]
     if threads and threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            pieces = list(pool.map(_count_chunk, tasks, chunksize=4))
+            # One batch per worker, so even a few chunks are split.
+            batch = -(-len(tasks) // threads)
+            pieces = list(pool.map(_count_chunk, tasks, chunksize=batch))
     else:
         pieces = [_count_chunk(t) for t in tasks]
     counts = np.concatenate(pieces).astype(np.float64)

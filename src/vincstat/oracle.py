@@ -37,7 +37,7 @@ from .errors import (
 from .moments import conditional_block_expectation
 from .patterns import Permutation, VincularPattern, reduce_sequence
 from .positions import PositionSet, count_occurrences_batch, position_matrix
-from .sampling import PINNED_STREAM, substream
+from .sampling import PINNED_STREAM, _reduction_draw, substream
 
 __all__ = [
     "brute_force_distribution",
@@ -226,9 +226,7 @@ def conditional_formula_check(
     chunk = max(1, 2_000_000 // max(n, 1))
     for trial in range(trials):
         gen = substream(seed, trial, PINNED_STREAM)
-        u = gen.random(width)
-        while np.unique(u).size != width:
-            u = gen.random(width)
+        u = _reduction_draw(gen, width)
         formula = conditional_block_expectation(pattern, n, m, i, tuple(u))
         pinned_slice = u[::-1]  # increasing position order
         s1 = 0.0

@@ -144,29 +144,61 @@ def test_oracle_command_modes(runner):
 
 
 def test_exit_code_one_with_structured_error(runner):
-    result = runner.invoke(main, ["moments", "--pattern", "1|2|3|4|5|6", "--n", "8"])
-    assert result.exit_code == 1
-    err = json.loads(result.output)["error"]
-    assert err["type"] == "SizeLimitExceeded"
-    assert "exceeds" in err["message"]
-
-    result = runner.invoke(main, ["count", "--pattern", "1,x", "--perm", "1,2"])
-    assert result.exit_code == 1
-    assert json.loads(result.output)["error"]["type"] == "MalformedToken"
-
-    result = runner.invoke(main, ["rate"], input="100,0.3\n400,0.15\n")
-    assert result.exit_code == 1
-    assert json.loads(result.output)["error"]["type"] == "DegenerateInput"
+    # Every subcommand reports a VincstatError through the group's one
+    # error boundary: a JSON error object and exit code 1.
+    cases = [
+        (["count", "--pattern", "1,x", "--perm", "1,2"], None, "MalformedToken"),
+        (["sample", "--n", "0"], None, "ZeroSize"),
+        (["moments", "--pattern", "1|2|3|4|5|6", "--n", "8"], None, "SizeLimitExceeded"),
+        (["var-poly", "--pattern", "1"], None, "PatternTooSmall"),
+        (["depgraph", "--pattern", "2,1|3|4", "--n", "900"], None, "SizeLimitExceeded"),
+        (["bounds", "--kind", "cumulant", "--r", "2", "--N", "0", "--D", "1"], None,
+         "NonPositiveInput"),
+        (["clt", "--pattern", "2,1", "--n", "10", "--samples", "50", "--threads", "1"], None,
+         "DegenerateInput"),
+        (["rate"], "100,0.3\n400,0.15\n", "DegenerateInput"),
+        (["oracle", "--pattern", "2,1", "--n", "10"], None, "SizeLimitExceeded"),
+    ]
+    for args, stdin, error in cases:
+        result = runner.invoke(main, args, input=stdin)
+        assert result.exit_code == 1, (args, result.output)
+        out = json.loads(result.output)
+        assert set(out) == {"error"} and set(out["error"]) == {"type", "message"}, args
+        assert out["error"]["type"] == error, args
+        if args[0] == "moments":
+            assert "exceeds" in out["error"]["message"]
 
 
 def test_malformed_limit_is_a_json_error(runner):
-    result = runner.invoke(
-        main, ["moments", "--pattern", "2,1", "--n", "5"], env={"VINCSTAT_MAX_K": "abc"}
-    )
+    # --unsafe-size still parses the limit instead of ignoring it.
+    for flag in ([], ["--unsafe-size"]):
+        result = runner.invoke(
+            main, [*flag, "moments", "--pattern", "2,1", "--n", "5"],
+            env={"VINCSTAT_MAX_K": "abc"},
+        )
+        assert result.exit_code == 1, flag
+        err = json.loads(result.output)["error"]
+        assert err["type"] == "MalformedLimit"
+        assert "VINCSTAT_MAX_K" in err["message"] and "'abc'" in err["message"]
+
+
+def test_negative_host_size_is_a_usage_error(runner):
+    commands = [
+        ["sample"],
+        ["moments", "--pattern", "2,1"],
+        ["depgraph", "--pattern", "2,1"],
+        ["bounds", "--kind", "stein", "--pattern", "2,1"],
+        ["clt", "--pattern", "2,1", "--samples", "200", "--threads", "1"],
+        ["oracle", "--pattern", "2,1"],
+    ]
+    for args in commands:
+        result = runner.invoke(main, [*args, "--n", "-5"])
+        assert result.exit_code == 2, args
+        assert "--n" in result.output, args
+    # Zero is a host size; sampling one is a computation error.
+    result = runner.invoke(main, ["sample", "--n", "0"])
     assert result.exit_code == 1
-    err = json.loads(result.output)["error"]
-    assert err["type"] == "MalformedLimit"
-    assert "VINCSTAT_MAX_K" in err["message"] and "'abc'" in err["message"]
+    assert json.loads(result.output)["error"]["type"] == "ZeroSize"
 
 
 def test_rate_malformed_csv_is_a_usage_error(runner):
@@ -193,6 +225,12 @@ def test_unsafe_size_flag_unlocks_k6(runner):
     clt = ["clt", "--pattern", "1|2|3|4|5|6", "--n", "12", "--samples", "200", "--threads", "1"]
     assert _ok(runner.invoke(main, clt))["exact_moments"] is False
     assert _ok(runner.invoke(main, ["--unsafe-size", *clt]))["exact_moments"] is True
+
+    # The flag only ever raises the limit: VINCSTAT_MAX_K=7 admits k=7
+    # with or without it.
+    k7 = ["moments", "--pattern", "1|2|3|4|5|6|7", "--n", "8"]
+    plain = _ok(runner.invoke(main, k7, env={"VINCSTAT_MAX_K": "7"}))
+    assert _ok(runner.invoke(main, ["--unsafe-size", *k7], env={"VINCSTAT_MAX_K": "7"})) == plain
 
 
 def test_count_respects_listing_cap(runner):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from vincstat import moments
-from vincstat.errors import BadWindow, PatternTooSmall, SizeLimitExceeded
+from vincstat.errors import BadWindow, DegenerateInput, PatternTooSmall, SizeLimitExceeded
 from vincstat.moments import (
     OverlapClass,
     conditional_block_expectation,
@@ -54,6 +54,25 @@ def test_joint_probability_hand_checked():
     assert joint_probability(chain, Permutation((2, 1))) == Fraction(1, 6)
     assert covariance(chain, Permutation((2, 1))) == Fraction(-1, 12)
     assert covariance(chain, Permutation((1, 2))) == Fraction(-1, 12)
+
+
+def test_joint_probability_has_no_union_size_limit():
+    # A k = 6 class with t = 11 under the default limits: the two chains
+    # 1 < ... < 6 and 6 < ... < 11 leave a single linear extension.
+    cls = OverlapClass(11, (1, 2, 3, 4, 5, 6), (6, 7, 8, 9, 10, 11))
+    identity = Permutation((1, 2, 3, 4, 5, 6))
+    assert joint_probability(cls, identity) == Fraction(1, 39916800)
+    assert covariance(cls, identity) == Fraction(1, 39916800) - Fraction(1, 720**2)
+
+
+def test_negative_host_size_is_rejected():
+    p = parse_pattern("2,1")
+    for n in (-1, -5):
+        with pytest.raises(DegenerateInput):
+            expectation(p, n)
+        with pytest.raises(DegenerateInput):
+            exact_variance_at(p, n)
+    assert expectation(p, 0) == 0 and exact_variance_at(p, 0) == 0
 
 
 def test_joint_probability_brute_force_cross_check():

@@ -3,7 +3,9 @@ import pytest
 from scipy.special import ndtri
 
 from vincstat.errors import DegenerateInput, EmptySample, PatternTooSmall, TooFewSamples
+from vincstat import montecarlo
 from vincstat.montecarlo import (
+    _CHUNK,
     _cumulants_of,
     empirical_kolmogorov,
     fit_rate,
@@ -90,14 +92,42 @@ def test_jackknife_matches_explicit_leave_one_out():
 
 
 def test_run_experiment_deterministic_and_thread_invariant():
+    # m spans four sampling chunks, so two and three workers really split
+    # the work (the last chunk holds a single sample).
     p = parse_pattern("2,1")
-    base = run_experiment(p, n=30, m=512, seed=101)
-    again = run_experiment(p, n=30, m=512, seed=101)
-    threaded = run_experiment(p, n=30, m=512, seed=101, threads=2)
-    assert base == again == threaded
-    assert base.samples == 512
+    m = 3 * _CHUNK + 1
+    base = run_experiment(p, n=30, m=m, seed=101, threads=1)
+    again = run_experiment(p, n=30, m=m, seed=101)
+    for threads in (2, 3):
+        assert run_experiment(p, n=30, m=m, seed=101, threads=threads) == base
+    assert base == again
+    assert base.samples == m
     assert base.used_exact_moments
     assert 0 < base.d_K < 1
+
+
+def test_run_experiment_gives_every_worker_a_share(monkeypatch):
+    # Four chunks over three workers go out in batches of ceil(4/3) = 2,
+    # so the work is split; a fixed batch of four sent it all to one.
+    seen = {}
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen["workers"] = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            seen["chunksize"] = chunksize
+            return map(fn, tasks)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+    run_experiment(parse_pattern("2,1"), n=6, m=3 * _CHUNK + 1, seed=3, threads=3)
+    assert seen == {"workers": 3, "chunksize": 2}
 
 
 def test_run_experiment_standardization_is_exact():
