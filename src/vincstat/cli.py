@@ -20,6 +20,7 @@ import sys
 from fractions import Fraction
 
 import click
+from click.core import ParameterSource
 
 from .depgraph import cumulant_bound, graph_summary, saulis_bound, stein_bound
 from .errors import VincstatError
@@ -75,7 +76,7 @@ def _parse_perm(text: str) -> Permutation:
 @click.group(cls=_ErrorBoundary)
 @click.option(
     "--unsafe-size", is_flag=True,
-    help="Raise the exact-moment limit to k=6 (up to 8065 overlap classes); "
+    help="Raise the exact-moment limit to k=6 (up to 4033 overlap classes); "
          "never lowers a larger VINCSTAT_MAX_K.",
 )
 @click.pass_context
@@ -154,6 +155,14 @@ def depgraph(pattern_text: str, n: int) -> None:
     })
 
 
+# The options each bound reads; giving any other one is a usage error.
+_BOUND_INPUTS = {
+    "stein": {"kind", "pattern_text", "n", "big_n", "big_d", "bound_b", "sigma2"},
+    "cumulant": {"kind", "pattern_text", "n", "big_n", "big_d", "bound_b", "r"},
+    "saulis": {"kind", "gamma", "delta"},
+}
+
+
 @main.command()
 @click.option("--kind", type=click.Choice(["stein", "cumulant", "saulis"]), required=True)
 @click.option("--pattern", "pattern_text", default=None,
@@ -170,6 +179,15 @@ def depgraph(pattern_text: str, n: int) -> None:
 def bounds(ctx, kind, pattern_text, n, big_n, big_d, bound_b, sigma2, r, gamma, delta):
     """Evaluate a normal-approximation bound from supplied or computed
     inputs."""
+    unread = [
+        param.opts[0] for param in ctx.command.params
+        if param.name not in _BOUND_INPUTS[kind]
+        and ctx.get_parameter_source(param.name) is not ParameterSource.DEFAULT
+    ]
+    if unread:
+        raise click.UsageError(f"--kind {kind} does not read {', '.join(unread)}")
+    if (pattern_text is None) != (n is None):
+        raise click.UsageError("--pattern and --n go together")
     if kind == "saulis":
         if gamma is None or delta is None:
             raise click.UsageError("kind=saulis needs --gamma and --delta")
@@ -177,8 +195,6 @@ def bounds(ctx, kind, pattern_text, n, big_n, big_d, bound_b, sigma2, r, gamma, 
                "value": saulis_bound(gamma, delta)})
         return
     if pattern_text is not None:
-        if n is None:
-            raise click.UsageError("--pattern needs --n")
         pattern = parse_pattern(pattern_text)
         summary = graph_summary(n, pattern)
         big_n = summary.N if big_n is None else big_n
@@ -245,8 +261,8 @@ def clt(ctx, pattern_text, n, samples, seed, threads, fmt):
 def rate(csv_file) -> None:
     """Fit the log-log convergence rate from a CSV of (n, d_K) rows.
 
-    Accepts either a two-column n,d_K file or the output of `clt
-    --format csv`; a header row is detected by column names."""
+    Accepts a two-column n,d_K file or the output of `clt --format csv`,
+    several runs concatenated: repeated header rows are skipped."""
     rows = [row for row in csv.reader(csv_file) if row]
     if not rows:
         raise click.UsageError("empty CSV input")
@@ -255,7 +271,7 @@ def rate(csv_file) -> None:
         if "d_K" in header:
             n_col = header.index("n")
             d_col = header.index("d_K")
-            rows = rows[1:]
+            rows = [row for row in rows[1:] if [h.strip() for h in row] != header]
         else:
             n_col, d_col = 0, 1
         points = [(float(row[n_col]), float(row[d_col])) for row in rows]
@@ -278,8 +294,11 @@ def rate(csv_file) -> None:
 @click.option("--ltv", type=int, default=None,
               help="Total-variance decomposition conditioning on this many "
                    "trailing values.")
-def oracle(pattern_text, n, mode, ltv) -> None:
+@click.pass_context
+def oracle(ctx, pattern_text, n, mode, ltv) -> None:
     """Brute-force ground truth over all n! permutations."""
+    if ltv is not None and ctx.get_parameter_source("mode") is not ParameterSource.DEFAULT:
+        raise click.UsageError("--ltv cannot be combined with --distribution or --moments")
     pattern = parse_pattern(pattern_text)
     if ltv is not None:
         rep = total_variance_check(pattern, n, ltv)

@@ -10,9 +10,9 @@ import os
 
 from .errors import MalformedLimit
 
-# The exact variance sums over the overlap classes of two intersecting
-# k-sets, whose union size is t <= 2k - 1: at most 1431 classes for k = 5
-# and 8065 for k = 6.  The k limit caps that sum; VINCSTAT_MAX_K sets it,
+# The exact variance sums over the unordered overlap classes of two
+# intersecting k-sets (union size t <= 2k - 1): at most 716 for k = 5 and
+# 4033 for k = 6.  The k limit caps that sum; VINCSTAT_MAX_K sets it,
 # and the unsafe flag raises it to at least UNSAFE_MAX_EXACT_K.
 DEFAULT_MAX_EXACT_K = 5
 UNSAFE_MAX_EXACT_K = 6

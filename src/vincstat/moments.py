@@ -99,9 +99,6 @@ class OverlapClass:
         return OverlapClass(self.t, self.j_mask, self.i_mask)
 
 
-_JOINT_CACHE: dict[tuple, Fraction] = {}
-
-
 def joint_probability(cls: OverlapClass, pi: Permutation) -> Fraction:
     """P(both indicators are 1) for a pair in this overlap class.
 
@@ -115,16 +112,11 @@ def joint_probability(cls: OverlapClass, pi: Permutation) -> Fraction:
     k = pi.size
     if len(cls.i_mask) != k or len(cls.j_mask) != k:
         raise ValueError(f"class masks have size {len(cls.i_mask)}, pattern has size {k}")
-    canon = cls.canonical()
-    key = (pi.values, canon.t, canon.i_mask, canon.j_mask)
-    hit = _JOINT_CACHE.get(key)
-    if hit is not None:
-        return hit
     by_value = sorted(range(k), key=pi.values.__getitem__)
     # Each chain ends in a None sentinel, which both chains share, so no
     # step ever runs past the end of a chain.
-    first = [canon.i_mask[q] for q in by_value] + [None]
-    second = [canon.j_mask[q] for q in by_value] + [None]
+    first = [cls.i_mask[q] for q in by_value] + [None]
+    second = [cls.j_mask[q] for q in by_value] + [None]
     shared = set(first) & set(second)
     ways = [[0] * (k + 2) for _ in range(k + 2)]
     ways[0][0] = 1
@@ -138,9 +130,7 @@ def joint_probability(cls: OverlapClass, pi: Permutation) -> Fraction:
                 ways[a][b + 1] += w
             if x == y:
                 ways[a + 1][b + 1] += w
-    result = Fraction(ways[k][k], factorial(cls.t))
-    _JOINT_CACHE[key] = result
-    return result
+    return Fraction(ways[k][k], factorial(cls.t))
 
 
 def covariance(cls: OverlapClass, pi: Permutation) -> Fraction:
@@ -148,10 +138,13 @@ def covariance(cls: OverlapClass, pi: Permutation) -> Fraction:
     return joint_probability(cls, pi) - Fraction(1, factorial(pi.size) ** 2)
 
 
-def _overlap_classes(pattern: VincularPattern, max_t: int) -> Iterator[tuple[OverlapClass, int]]:
-    """Every overlap class of an ordered pair of intersecting admissible
-    sets with union size at most max_t, with the number c of union steps
-    (r, r+1) that either set forces to be adjacent."""
+def _overlap_classes(
+    pattern: VincularPattern, max_t: int
+) -> Iterator[tuple[OverlapClass, int, int]]:
+    """Each overlap class of an unordered pair of intersecting admissible
+    sets with union size at most max_t, once (i_mask <= j_mask), with the
+    number c of union steps (r, r+1) that either set forces to be adjacent
+    and the number of ordered pairs of masks it stands for (1 or 2)."""
     k = pattern.size
 
     def forced_steps(mask):
@@ -172,9 +165,12 @@ def _overlap_classes(pattern: VincularPattern, max_t: int) -> Iterator[tuple[Ove
             rest = tuple(r for r in ranks if r not in i_mask)
             for common in combinations(i_mask, 2 * k - t):
                 j_mask = tuple(sorted(rest + common))
+                if j_mask < i_mask:
+                    continue
                 j_steps = forced_steps(j_mask)
                 if j_steps is not None:
-                    yield OverlapClass(t, i_mask, j_mask), len(i_steps | j_steps)
+                    mult = 1 if j_mask == i_mask else 2
+                    yield OverlapClass(t, i_mask, j_mask), len(i_steps | j_steps), mult
 
 
 def _class_weights(
@@ -187,8 +183,8 @@ def _class_weights(
     if k > limit:
         raise SizeLimitExceeded(f"pattern size {k} exceeds the exact-moment limit {limit}")
     weights: dict[tuple[int, int], Fraction] = {}
-    for cls, c in _overlap_classes(pattern, max_t):
-        weights[cls.t, c] = weights.get((cls.t, c), 0) + covariance(cls, pattern.order)
+    for cls, c, mult in _overlap_classes(pattern, max_t):
+        weights[cls.t, c] = weights.get((cls.t, c), 0) + mult * covariance(cls, pattern.order)
     return weights
 
 

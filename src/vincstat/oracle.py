@@ -19,6 +19,7 @@ exactly, with rational pinned values."""
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -31,6 +32,7 @@ from . import config
 from .errors import (
     BadWindow,
     DecompositionMismatch,
+    DegenerateInput,
     NotAdmissible,
     SizeLimitExceeded,
 )
@@ -65,11 +67,11 @@ def _full_table(n: int) -> np.ndarray:
 
 
 def _check_oracle_size(n: int) -> None:
+    if n < 0:
+        raise DegenerateInput(f"host size n={n} is negative")
     cap = config.oracle_max_n()
     if n > cap:
         raise SizeLimitExceeded(f"n={n} exceeds the brute-force cap {cap}")
-    if n < 0:
-        raise SizeLimitExceeded(f"n={n} is not a host size")
 
 
 def _all_counts(pattern: VincularPattern, n: int) -> np.ndarray:
@@ -289,42 +291,38 @@ def discrete_suffix_covariances(
 def _chain_gap_ranges(
     entries: list[int],
     pinned_entry_values: list[tuple[int, Fraction]],
-    boundaries: list[Fraction],
+    edges: list[Fraction],
 ) -> list[tuple[int, int]]:
     """Allowed fine-gap index range for each free entry of one indicator.
 
     entries: the free pattern entries, ascending.  pinned_entry_values:
     (pattern entry, pinned uniform value) pairs for this indicator.
-    boundaries: all pinned values, sorted, defining the fine gaps
-    (gap g spans boundaries[g-1]..boundaries[g] with 0 and 1 outside).
+    edges: 0, all pinned values sorted, and 1; fine gap g spans
+    edges[g]..edges[g+1].  An entry may take the gaps inside (lo, hi), the
+    values pinned to the nearest pinned entries below and above it.
     """
-    gaps = len(boundaries) + 1
     ranges = []
     for x in entries:
-        lo = Fraction(0)
-        hi = Fraction(1)
-        for entry, value in pinned_entry_values:
-            if entry < x:
-                lo = max(lo, value)
-            else:
-                hi = min(hi, value)
-        lo_gap = 0
-        while lo_gap < gaps - 1 and boundaries[lo_gap] < lo:
-            lo_gap += 1
-        hi_gap = gaps - 1
-        while hi_gap > 0 and boundaries[hi_gap - 1] > hi:
-            hi_gap -= 1
-        # Exact containment: gap must sit inside (lo, hi).
-        while lo_gap <= hi_gap and not (
-            (Fraction(0) if lo_gap == 0 else boundaries[lo_gap - 1]) >= lo
-        ):
-            lo_gap += 1
-        while hi_gap >= lo_gap and not (
-            (Fraction(1) if hi_gap == gaps - 1 else boundaries[hi_gap]) <= hi
-        ):
-            hi_gap -= 1
-        ranges.append((lo_gap, hi_gap))
+        lo = max((value for entry, value in pinned_entry_values if entry < x), default=0)
+        hi = min((value for entry, value in pinned_entry_values if entry > x), default=1)
+        ranges.append((bisect_left(edges, lo), bisect_right(edges, hi) - 2))
     return ranges
+
+
+def _split_pinned(
+    pi: tuple[int, ...], positions, n: int, pinned: list[Fraction]
+) -> tuple[list[tuple[int, Fraction]], list[int]]:
+    """Split one indicator's pattern entries by position: (entry, pinned
+    value) pairs for the positions inside the pinned suffix, and the free
+    entries of the others."""
+    suffix_start = n - len(pinned) + 1
+    pairs, free = [], []
+    for entry, p in zip(pi, positions):
+        if p >= suffix_start:
+            pairs.append((entry, pinned[p - suffix_start]))
+        else:
+            free.append(entry)
+    return pairs, free
 
 
 def _pinned_marginal(
@@ -332,26 +330,15 @@ def _pinned_marginal(
 ) -> Fraction:
     """P(X_I = 1 | pinned suffix values), via the per-gap product formula
     with the gaps cut by this indicator's own pinned values."""
-    suffix_start = n - len(pinned) + 1
-    pinned_pairs = [
-        (pi[idx], pinned[p - suffix_start])
-        for idx, p in enumerate(positions)
-        if p >= suffix_start
-    ]
-    free = [pi[idx] for idx, p in enumerate(positions) if p < suffix_start]
-    if pinned_pairs:
-        by_position = [value for _, value in pinned_pairs]
-        entry_order = reduce_sequence([entry for entry, _ in pinned_pairs]).values
-        if reduce_sequence(by_position).values != entry_order:
-            return Fraction(0)
-    anchors = sorted(pinned_pairs, key=lambda ev: ev[0])
+    pinned_pairs, free = _split_pinned(pi, positions, n, pinned)
+    by_position = reduce_sequence([value for _, value in pinned_pairs]).values
+    if by_position != reduce_sequence([entry for entry, _ in pinned_pairs]).values:
+        return Fraction(0)
+    # Entry 0 at value 0 and entry k+1 at value 1 close the outer gaps.
+    anchors = [(0, Fraction(0)), *sorted(pinned_pairs), (len(pi) + 1, Fraction(1))]
     prob = Fraction(1)
-    for g in range(len(anchors) + 1):
-        lo_entry = anchors[g - 1][0] if g > 0 else 0
-        hi_entry = anchors[g][0] if g < len(anchors) else len(pi) + 1
+    for (lo_entry, lo), (hi_entry, hi) in zip(anchors, anchors[1:]):
         c = sum(1 for x in free if lo_entry < x < hi_entry)
-        lo = anchors[g - 1][1] if g > 0 else Fraction(0)
-        hi = anchors[g][1] if g < len(anchors) else Fraction(1)
         prob *= (hi - lo) ** c / factorial(c)
     return prob
 
@@ -374,6 +361,10 @@ def pinned_suffix_probabilities(
     equality of the two is exactly the conditional-independence claim.
     """
     pinned = [Fraction(v) for v in pinned]
+    if any(not 0 <= v <= 1 for v in pinned):
+        raise BadWindow("pinned values must lie in [0, 1]")
+    if len(set(pinned)) != len(pinned):
+        raise BadWindow("pinned values must be distinct")
     suffix_start = n - len(pinned) + 1
     pi = pattern.order.values
     overlap = set(I.positions) & set(J.positions)
@@ -390,22 +381,12 @@ def pinned_suffix_probabilities(
         # of that indicator already fails); report it directly.
         return p_i, p_j, Fraction(0)
 
-    boundaries = sorted(pinned)
+    edges = [Fraction(0), *sorted(pinned), Fraction(1)]
     chains = []
     for positions in (I.positions, J.positions):
-        pairs = [
-            (pi[idx], pinned[p - suffix_start])
-            for idx, p in enumerate(positions)
-            if p >= suffix_start
-        ]
-        free = sorted(pi[idx] for idx, p in enumerate(positions) if p < suffix_start)
-        chains.append(_chain_gap_ranges(free, pairs, boundaries))
-    widths = []
-    prev = Fraction(0)
-    for b in boundaries:
-        widths.append(b - prev)
-        prev = b
-    widths.append(Fraction(1) - prev)
+        pairs, free = _split_pinned(pi, positions, n, pinned)
+        chains.append(_chain_gap_ranges(sorted(free), pairs, edges))
+    widths = [hi - lo for lo, hi in zip(edges, edges[1:])]
 
     len_a, len_b = len(chains[0]), len(chains[1])
 

@@ -210,6 +210,46 @@ def test_rate_malformed_csv_is_a_usage_error(runner):
     assert "bad CSV input" in no_n_column.output
 
 
+def test_rate_reads_concatenated_clt_csv(runner):
+    # Every `clt --format csv` run repeats the header row; rate skips the
+    # later copies.
+    runs = ""
+    for n in (20, 40, 80):
+        result = runner.invoke(main, [
+            "clt", "--pattern", "2,1", "--n", str(n), "--samples", "300",
+            "--seed", "1", "--threads", "1", "--format", "csv",
+        ])
+        assert result.exit_code == 0, result.output
+        runs += result.output
+    out = _ok(runner.invoke(main, ["rate"], input=runs))
+    assert [n for n, _ in out["points"]] == [20, 40, 80]
+
+
+def test_options_a_mode_does_not_read_are_usage_errors(runner):
+    cases = [
+        (["bounds", "--kind", "saulis", "--gamma", "0", "--delta", "424.26",
+          "--pattern", "1|2|3|4|5|6|7", "--n", "5"],
+         "--kind saulis does not read --pattern, --n"),
+        (["bounds", "--kind", "cumulant", "--r", "2", "--N", "5", "--D", "1",
+          "--sigma2", "-3", "--n", "7", "--gamma", "9"],
+         "--kind cumulant does not read --sigma2, --gamma"),
+        (["bounds", "--kind", "saulis", "--gamma", "0", "--delta", "1", "--B", "1"],
+         "--kind saulis does not read --B"),
+        (["bounds", "--kind", "stein", "--N", "5", "--D", "1", "--sigma2", "1", "--r", "3"],
+         "--kind stein does not read --r"),
+        (["bounds", "--kind", "cumulant", "--r", "2", "--N", "5", "--D", "1", "--n", "7"],
+         "--pattern and --n go together"),
+        (["oracle", "--pattern", "2,1", "--n", "4", "--distribution", "--ltv", "1"],
+         "--ltv cannot be combined with --distribution or --moments"),
+        (["oracle", "--pattern", "2,1", "--n", "4", "--moments", "--ltv", "1"],
+         "--ltv cannot be combined with --distribution or --moments"),
+    ]
+    for args, message in cases:
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, args
+        assert result.output.splitlines()[-1] == f"Error: {message}", args
+
+
 def test_unsafe_size_flag_unlocks_k6(runner):
     result = runner.invoke(
         main, ["--unsafe-size", "moments", "--pattern", "1|2|3|4|5|6", "--n", "8"]

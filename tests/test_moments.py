@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from vincstat import moments
 from vincstat.errors import BadWindow, DegenerateInput, PatternTooSmall, SizeLimitExceeded
 from vincstat.moments import (
     OverlapClass,
+    _overlap_classes,
     conditional_block_expectation,
     covariance,
     exact_variance_at,
@@ -367,11 +367,30 @@ def test_class_sum_matches_pair_sum():
             assert exact_variance_at(p, n) == _variance_by_pair_sum(p, n), (str(p), n)
 
 
+def test_each_unordered_class_is_visited_once():
+    # Expanded by its multiplicity (the class itself, plus its swap when
+    # the masks differ), the walk gives exactly the ordered classes that
+    # concrete pairs realize at n = 2k-1, where every union size fits.
+    for text in ("2,1", "1|2", "3|1,2", "1|3|2", "2,1|3|4", "1|2|3|4"):
+        p = parse_pattern(text)
+        n = 2 * p.size - 1
+        ordered = []
+        for cls, _, mult in _overlap_classes(p, n):
+            assert cls.i_mask <= cls.j_mask, (text, cls)
+            assert mult == (1 if cls.i_mask == cls.j_mask else 2), (text, cls)
+            ordered += [cls] if mult == 1 else [cls, cls.swapped()]
+        sets = [I.positions for I in enumerate_position_sets(n, p)]
+        realized = {
+            OverlapClass.from_pair(A, B) for A in sets for B in sets if set(A) & set(B)
+        }
+        assert len(ordered) == len(set(ordered)), text
+        assert set(ordered) == realized, text
+
+
 def test_exact_variance_at_huge_host_is_fast():
     # The class sum does not grow with n: the classical k = 5 pattern at
     # n = 10^6 agrees with its polynomial and takes milliseconds.
     p = parse_pattern("3|1|5|2|4")
-    moments._JOINT_CACHE.clear()
     started = time.perf_counter()
     value = exact_variance_at(p, 10**6)
     elapsed = time.perf_counter() - started

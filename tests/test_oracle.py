@@ -4,6 +4,7 @@ import pytest
 
 from vincstat.errors import (
     BadWindow,
+    DegenerateInput,
     NotAdmissible,
     SizeLimitExceeded,
 )
@@ -63,6 +64,15 @@ def test_oracle_size_cap(monkeypatch):
     monkeypatch.setenv("VINCSTAT_ORACLE_MAX_N", "3")
     with pytest.raises(SizeLimitExceeded):
         brute_force_moments(parse_pattern("2,1"), 4)
+
+
+def test_negative_host_size_is_degenerate(monkeypatch):
+    # Checked before the cap, whatever the cap is.
+    with pytest.raises(DegenerateInput):
+        brute_force_moments(parse_pattern("2,1"), -1)
+    monkeypatch.setenv("VINCSTAT_ORACLE_MAX_N", "-5")
+    with pytest.raises(DegenerateInput):
+        brute_force_distribution(parse_pattern("2,1"), -1)
 
 
 def test_total_variance_decomposition_small_case():
@@ -201,6 +211,23 @@ def test_pinned_suffix_rejects_outside_overlap():
             PositionSet((1, 5, 6), 7),  # shares position 1, outside the pins
             (Fraction(1, 2), Fraction(3, 4)),
         )
+
+
+def test_pinned_suffix_rejects_repeated_or_out_of_range_pins():
+    p = parse_pattern("1|2,3")
+    I = PositionSet((1, 6, 7), 7)
+    J = PositionSet((4, 6, 7), 7)
+    for pins in (
+        (Fraction(1, 3), Fraction(1, 3)),
+        (Fraction(-1, 3), Fraction(1, 2)),
+        (Fraction(1, 2), Fraction(4, 3)),
+    ):
+        with pytest.raises(BadWindow):
+            pinned_suffix_probabilities(p, 7, I, J, pins)
+    # The ends of [0, 1] are allowed pins; here they leave the free entry
+    # of each set the whole interval.
+    ends = (Fraction(0), Fraction(1))
+    assert pinned_suffix_probabilities(parse_pattern("2|1,3"), 7, I, J, ends) == (1, 1, 1)
 
 
 def test_pinned_marginals_sum_to_conditional_expectation():
