@@ -29,7 +29,7 @@ from .montecarlo import fit_rate, run_experiment
 from .oracle import brute_force_distribution, brute_force_moments, total_variance_check
 from .patterns import Permutation, parse_pattern
 from .positions import count_occurrences
-from .sampling import sample_by_reduction, sample_uniform
+from .sampling import sample_by_reduction_batch, sample_uniform_batch
 
 CSV_COLUMNS = [
     "pattern", "n", "m", "seed", "d_K",
@@ -106,8 +106,8 @@ def count(pattern_text: str, perm_text: str) -> None:
               default="shuffle", show_default=True)
 def sample(n: int, seed: int, how_many: int, method: str) -> None:
     """Draw seeded uniform permutations."""
-    draw = sample_uniform if method == "shuffle" else sample_by_reduction
-    samples = [list(draw(n, seed, index).values) for index in range(how_many)]
+    draw = sample_uniform_batch if method == "shuffle" else sample_by_reduction_batch
+    samples = draw(n, seed, how_many).tolist()
     _emit({"n": n, "seed": seed, "method": method, "samples": samples})
 
 

@@ -6,6 +6,12 @@ moments, the law-of-total-variance decomposition obtained by conditioning
 on the last few values of the permutation, and the closed-form
 conditional expectations of the continuous (uniform-value) construction.
 
+The enumeration is one table of S_n in suffix order (each row of the
+lexicographic table reversed), so the permutations sharing their last c
+values are always (n-c)! consecutive rows.  Conditioning on trailing
+values is then a reshape: the law-of-total-variance terms and the
+discrete suffix covariances are sums over row blocks.
+
 Two conditioning regimes appear and they are not interchangeable.
 Conditioning on the *values at the last positions of a finite
 permutation* leaves the remaining values drawn without replacement from
@@ -37,8 +43,10 @@ from .errors import (
     SizeLimitExceeded,
 )
 from .moments import conditional_block_expectation
-from .patterns import Permutation, VincularPattern, reduce_sequence
-from .positions import PositionSet, count_occurrences_batch, position_matrix
+from .patterns import VincularPattern, reduce_sequence
+from .positions import (
+    PositionSet, _check_admissible, count_occurrences_batch, position_matrix,
+)
 from .sampling import PINNED_STREAM, _reduction_draw, substream
 
 __all__ = [
@@ -57,13 +65,26 @@ _FULL_TABLES: dict[int, np.ndarray] = {}
 
 
 def _full_table(n: int) -> np.ndarray:
-    """All n! permutations of {1..n}, one per row."""
+    """All n! permutations of {1..n}, one per row, in suffix order: the
+    lexicographic table with each row reversed."""
     table = _FULL_TABLES.get(n)
     if table is None:
         table = np.array(list(_all_perms(range(1, n + 1))), dtype=np.int8)
-        table = table.reshape(factorial(n), n)
+        table = np.ascontiguousarray(table.reshape(factorial(n), n)[:, ::-1])
         _FULL_TABLES[n] = table
     return table
+
+
+def _sum_squares(values: np.ndarray) -> int:
+    """Exact sum of squares, in Python ints."""
+    return sum(v * v for v in values.ravel().tolist())
+
+
+def _check_position_sets(pattern: VincularPattern, n: int, *sets: PositionSet) -> None:
+    for I in sets:
+        if I.host_size != n:
+            raise NotAdmissible(f"position set has host size {I.host_size}, not n={n}")
+        _check_admissible(I, pattern)
 
 
 def _check_oracle_size(n: int) -> None:
@@ -124,52 +145,27 @@ def total_variance_check(pattern: VincularPattern, n: int, c: int) -> TotalVaria
     _check_oracle_size(n)
     if not 0 <= c <= n:
         raise BadWindow(f"need 0 <= c <= n, got c={c}")
-    table = _full_table(n)
-    counts = _all_counts(pattern, n)
+    counts = _all_counts(pattern, n).astype(np.int64)
     total = factorial(n)
+    # sums[lvl][g]: the sum of Y over the g-th block of (n-lvl)! rows, the
+    # permutations that share their last lvl values.
+    sums = [counts.reshape(-1, factorial(n - lvl)).sum(axis=1) for lvl in range(c + 1)]
 
-    # groups[lvl] maps the tuple (sigma_n, ..., sigma_{n-lvl+1}) to
-    # [group size, sum of Y, sum of Y^2] over matching permutations.
-    groups: list[dict[tuple, list[int]]] = [dict() for _ in range(c + 1)]
-    for row, y in zip(table, counts):
-        y = int(y)
-        key: tuple = ()
-        for lvl in range(c + 1):
-            acc = groups[lvl].setdefault(key, [0, 0, 0])
-            acc[0] += 1
-            acc[1] += y
-            acc[2] += y * y
-            if lvl < c:
-                key = key + (int(row[n - 1 - lvl]),)
-
-    def group_mean(acc: list[int]) -> Fraction:
-        return Fraction(acc[1], acc[0])
-
-    # Residual: expected within-group variance at the deepest level.
-    residual = Fraction(0)
-    for acc in groups[c].values():
-        cnt, s1, s2 = acc
-        residual += Fraction(cnt, total) * (Fraction(s2, cnt) - Fraction(s1, cnt) ** 2)
-
-    # Level i -> i+1: expected variance, across each parent group, of the
-    # child conditional means.
+    # Level lvl -> lvl+1: the expected variance of the n-lvl child block
+    # means around their parent's; each child mean minus the parent mean
+    # is ((n-lvl)*s_child - s_parent) / (n-lvl)!.
     cascade: list[Fraction] = []
     for lvl in range(c):
-        children_of: dict[tuple, list[tuple]] = {}
-        for key in groups[lvl + 1]:
-            children_of.setdefault(key[:-1], []).append(key)
-        term = Fraction(0)
-        for parent_key, acc in groups[lvl].items():
-            parent_mean = group_mean(acc)
-            inner = Fraction(0)
-            for child_key in children_of[parent_key]:
-                child = groups[lvl + 1][child_key]
-                inner += Fraction(child[0], acc[0]) * (group_mean(child) - parent_mean) ** 2
-            term += Fraction(acc[0], total) * inner
-        cascade.append(term)
+        width = n - lvl
+        gaps = width * sums[lvl + 1].reshape(-1, width) - sums[lvl][:, None]
+        cascade.append(Fraction(_sum_squares(gaps), width * factorial(width) * total))
 
-    g0 = groups[0][()]
-    variance = Fraction(g0[2], total) - Fraction(g0[1], total) ** 2
+    # Residual: expected within-block variance at the deepest level.
+    size = factorial(n - c)
+    square_sum = _sum_squares(counts)
+    residual = Fraction(square_sum * size - _sum_squares(sums[c]), size * total)
+
+    variance = Fraction(square_sum, total) - Fraction(int(counts.sum()), total) ** 2
     terms = tuple(cascade) + (residual,)
     labels = tuple(
         f"explained by conditioning value {lvl + 1}" for lvl in range(c)
@@ -220,7 +216,8 @@ def conditional_formula_check(
     occurrences whose final position is exactly n-m.  The empirical
     conditional mean is compared to the closed form in standard-error
     units."""
-    k = pattern.size
+    if trials < 1 or inner_samples < 1:
+        raise DegenerateInput(f"trials={trials}, inner_samples={inner_samples}: need both >= 1")
     width = i - m + 1
     posmat = position_matrix(n, pattern)
     ends_here = posmat[posmat[:, -1] == n - 1 - m]
@@ -269,23 +266,20 @@ def discrete_suffix_covariances(
     pool the other positions draw from, so these covariances are
     typically nonzero even when I and J only overlap inside the suffix.
     """
+    _check_position_sets(pattern, n, I, J)
     _check_oracle_size(n)
     table = _full_table(n)
     suffix = pattern.last_block_size
+    size = factorial(n - suffix)
     xi = count_occurrences_batch(table, pattern, np.array([I.positions]) - 1) == 1
     xj = count_occurrences_batch(table, pattern, np.array([J.positions]) - 1) == 1
-    out: dict[tuple[int, ...], Fraction] = {}
-    tails: dict[tuple[int, ...], list[int]] = {}
-    for row_idx in range(table.shape[0]):
-        key = tuple(int(v) for v in table[row_idx, n - suffix :])
-        tails.setdefault(key, []).append(row_idx)
-    for key, rows in tails.items():
-        cnt = len(rows)
-        si = int(xi[rows].sum())
-        sj = int(xj[rows].sum())
-        sij = int((xi[rows] & xj[rows]).sum())
-        out[key] = Fraction(sij, cnt) - Fraction(si, cnt) * Fraction(sj, cnt)
-    return out
+    # One block of rows per assignment of the last `suffix` values.
+    si, sj, sij = (x.reshape(-1, size).sum(axis=1).tolist() for x in (xi, xj, xi & xj))
+    keys = table[::size, n - suffix :].tolist()
+    return {
+        tuple(key): Fraction(both, size) - Fraction(a, size) * Fraction(b, size)
+        for key, a, b, both in zip(keys, si, sj, sij)
+    }
 
 
 def _chain_gap_ranges(
@@ -360,6 +354,7 @@ def pinned_suffix_probabilities(
     interleaving multiplicities), not as a product of the marginals —
     equality of the two is exactly the conditional-independence claim.
     """
+    _check_position_sets(pattern, n, I, J)
     pinned = [Fraction(v) for v in pinned]
     if any(not 0 <= v <= 1 for v in pinned):
         raise BadWindow("pinned values must lie in [0, 1]")

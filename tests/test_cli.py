@@ -195,10 +195,12 @@ def test_negative_host_size_is_a_usage_error(runner):
         result = runner.invoke(main, [*args, "--n", "-5"])
         assert result.exit_code == 2, args
         assert "--n" in result.output, args
-    # Zero is a host size; sampling one is a computation error.
-    result = runner.invoke(main, ["sample", "--n", "0"])
-    assert result.exit_code == 1
-    assert json.loads(result.output)["error"]["type"] == "ZeroSize"
+    # Zero is a host size; sampling one is a computation error, even when
+    # no sample is asked for.
+    for args in (["sample", "--n", "0"], ["sample", "--n", "0", "--count", "0"]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1, args
+        assert json.loads(result.output)["error"]["type"] == "ZeroSize", args
 
 
 def test_rate_malformed_csv_is_a_usage_error(runner):

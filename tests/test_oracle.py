@@ -1,3 +1,6 @@
+import itertools
+import time
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -18,8 +21,8 @@ from vincstat.oracle import (
     total_variance_check,
 )
 from vincstat.oracle import _pinned_marginal
-from vincstat.patterns import iter_patterns, parse_pattern
-from vincstat.positions import PositionSet, enumerate_position_sets
+from vincstat.patterns import Permutation, iter_patterns, parse_pattern
+from vincstat.positions import PositionSet, enumerate_position_sets, occurs_at
 
 
 def test_distribution_textbook_cases():
@@ -113,6 +116,41 @@ def test_total_variance_terms_nonnegative_and_residual_monotone():
         assert all(a >= b for a, b in zip(residuals, residuals[1:])), text
 
 
+def _conditional_mean_terms(pattern, n, c):
+    # Reference for total_variance_check, independent of its table order:
+    # m_l(sigma) = E[Y | last l values of sigma], from a dict grouping of
+    # itertools' permutations counted with occurs_at; the terms are
+    # E[(m_{l+1} - m_l)^2] for l < c, then E[(Y - m_c)^2].
+    sets = list(enumerate_position_sets(n, pattern))
+    ys = {
+        perm: sum(occurs_at(Permutation(perm), pattern.order, I) for I in sets)
+        for perm in itertools.permutations(range(1, n + 1))
+    }
+    means = []
+    for lvl in range(c + 1):
+        groups = defaultdict(list)
+        for perm, y in ys.items():
+            groups[perm[n - lvl :]].append(y)
+        group_mean = {key: Fraction(sum(v), len(v)) for key, v in groups.items()}
+        means.append({perm: group_mean[perm[n - lvl :]] for perm in ys})
+    means.append(ys)
+    return tuple(
+        sum((b[perm] - a[perm]) ** 2 for perm in ys) / len(ys)
+        for a, b in zip(means, means[1:])
+    )
+
+
+def test_total_variance_terms_match_a_dict_grouping():
+    cases = [
+        (p, n, c)
+        for k in (1, 2) for p in iter_patterns(k) for n in range(6) for c in range(n + 1)
+    ]
+    cases += [(parse_pattern(text), 6, 3) for text in ("3|1,2", "1,2,3")]
+    for p, n, c in cases:
+        expected = _conditional_mean_terms(p, n, c)
+        assert total_variance_check(p, n, c).terms == expected, (str(p), n, c)
+
+
 def test_conditional_formula_against_simulation():
     report = conditional_formula_check(
         parse_pattern("3|1,2"), n=8, m=0, i=1, trials=3, seed=42, inner_samples=20_000
@@ -145,6 +183,55 @@ def test_discrete_suffix_conditioning_is_correlated():
         else:
             assert cov == 0
     assert any(cov != 0 for cov in covs.values())
+
+
+@pytest.mark.parametrize(
+    "oracle, n, I",
+    [
+        ("discrete", 6, PositionSet((1, 5, 7), 6)),
+        ("discrete", 6, PositionSet((0, 5, 6), 6)),  # index -1 would wrap
+        ("discrete", 6, PositionSet((1, 5, 6), 7)),
+        ("pinned", 7, PositionSet((6, 7), 7)),
+        ("pinned", 7, PositionSet((1, 2, 7), 7)),
+        ("pinned", 7, PositionSet((1, 6, 7), 8)),
+    ],
+    ids=[
+        "past-the-host", "position-0", "host-size",
+        "two-entries", "broken-adjacency", "pinned-host-size",
+    ],
+)
+def test_suffix_oracles_reject_inadmissible_position_sets(oracle, n, I):
+    p = parse_pattern("1|2,3")
+    J = PositionSet((4, n - 1, n), n)
+    pins = (Fraction(1, 3), Fraction(2, 3))
+    for first, second in ((I, J), (J, I)):
+        with pytest.raises(NotAdmissible):
+            if oracle == "discrete":
+                discrete_suffix_covariances(p, n, first, second)
+            else:
+                pinned_suffix_probabilities(p, n, first, second, pins)
+
+
+def test_conditional_formula_check_rejects_empty_runs():
+    p = parse_pattern("3|1,2")
+    for trials, inner in ((0, 100), (-1, 100), (1, 0), (1, -5)):
+        with pytest.raises(DegenerateInput):
+            conditional_formula_check(
+                p, n=8, m=0, i=1, trials=trials, seed=0, inner_samples=inner
+            )
+
+
+def test_total_variance_full_depth_at_the_cap():
+    # Conditioning on all nine values: the last n-1 already fix the
+    # permutation, so the final cascade term and the residual vanish.
+    p = parse_pattern("3|1,2")
+    started = time.perf_counter()
+    r = total_variance_check(p, 9, 9)
+    elapsed = time.perf_counter() - started
+    assert sum(r.terms, Fraction(0)) == brute_force_moments(p, 9)[1] == r.variance
+    assert r.terms[-1] == 0 and r.terms[-2] == 0
+    assert len(r.terms) == 10
+    assert elapsed < 3.0, elapsed
 
 
 def test_pinned_suffix_conditioning_is_independent():
