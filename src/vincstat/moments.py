@@ -265,6 +265,13 @@ def leading_coefficient(poly: VariancePolynomial) -> Fraction:
     return poly.leading_coefficient
 
 
+def _check_window(pattern: VincularPattern, m: int, i: int) -> None:
+    """The pinned window n-i..n-m must lie inside the last block."""
+    b_last = pattern.last_block_size
+    if not 0 <= m <= i <= b_last - 1:
+        raise BadWindow(f"need 0 <= m <= i <= {b_last - 1}, got m={m}, i={i}")
+
+
 def conditional_block_expectation(
     pattern: VincularPattern, n: int, m: int, i: int, u: Sequence[float]
 ) -> float:
@@ -281,9 +288,7 @@ def conditional_block_expectation(
     """
     k = pattern.size
     j = pattern.block_count
-    b_last = pattern.last_block_size
-    if not 0 <= m <= i <= b_last - 1:
-        raise BadWindow(f"need 0 <= m <= i <= {b_last - 1}, got m={m}, i={i}")
+    _check_window(pattern, m, i)
     u = tuple(float(x) for x in u)
     if len(u) != i - m + 1:
         raise BadWindow(f"pinned vector has length {len(u)}, expected {i - m + 1}")

@@ -42,7 +42,7 @@ from .errors import (
     NotAdmissible,
     SizeLimitExceeded,
 )
-from .moments import conditional_block_expectation
+from .moments import _check_window, conditional_block_expectation
 from .patterns import VincularPattern, reduce_sequence
 from .positions import (
     PositionSet, _check_admissible, count_occurrences_batch, position_matrix,
@@ -218,6 +218,7 @@ def conditional_formula_check(
     units."""
     if trials < 1 or inner_samples < 1:
         raise DegenerateInput(f"trials={trials}, inner_samples={inner_samples}: need both >= 1")
+    _check_window(pattern, m, i)
     width = i - m + 1
     posmat = position_matrix(n, pattern)
     ends_here = posmat[posmat[:, -1] == n - 1 - m]
@@ -356,6 +357,8 @@ def pinned_suffix_probabilities(
     """
     _check_position_sets(pattern, n, I, J)
     pinned = [Fraction(v) for v in pinned]
+    if len(pinned) > n:
+        raise BadWindow(f"{len(pinned)} pinned values but only n={n} positions")
     if any(not 0 <= v <= 1 for v in pinned):
         raise BadWindow("pinned values must lie in [0, 1]")
     if len(set(pinned)) != len(pinned):

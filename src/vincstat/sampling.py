@@ -5,7 +5,14 @@ pair (seed, stream word).  The stream word packs a small domain tag and a
 sample index, so every sample lives in its own substream determined
 entirely by (seed, tag, index): results never depend on how work is
 sharded across workers, and any single sample can be regenerated in
-isolation.
+isolation with substream().
+
+The batch samplers do not build a bit generator per sample.  Each batch
+builds one Philox and one Generator and, for every row, re-keys them
+through the Philox state dict: key word 1 becomes the row's stream word
+and the counter, output buffer and cached 32-bit half are reset.  The
+Generator then starts exactly where a fresh substream() would, so every
+row equals the one substream(seed, index, tag) gives.
 
 Two independent constructions of the uniform distribution are provided:
 an in-place shuffle, and reduction of i.i.d. uniforms (rank the draws).
@@ -14,6 +21,8 @@ each other.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -40,23 +49,66 @@ REDUCTION_STREAM = 1
 NORMAL_STREAM = 2
 PINNED_STREAM = 4
 
+_BLOCK_CELLS = 1 << 16  # float entries per reduction block
+
+
+def _check_key(seed: int, stream: int, first: int, count: int = 1) -> None:
+    """Range checks for the substreams first..first+count-1 of (seed,
+    stream): seeds must fit in 64 bits, indices in 56 bits (room for
+    ~7*10^16 samples per stream) and stream tags in the remaining 8."""
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed {seed} outside 0..2^64-1")
+    last = first + count - 1
+    if first < 0 or last >= 1 << _INDEX_BITS:
+        bad = first if first < 0 else last
+        raise ValueError(f"sample index {bad} outside 0..2^{_INDEX_BITS}-1")
+    if not 0 <= stream < (1 << (64 - _INDEX_BITS)):
+        raise ValueError(f"stream tag {stream} outside 0..2^{64 - _INDEX_BITS}-1")
+
 
 def substream(seed: int, index: int, stream: int = 0) -> np.random.Generator:
     """Generator for the given (seed, index) substream.
 
-    The Philox key is (seed, stream << 56 | index); seeds must fit in 64
-    bits, indices in 56 bits (room for ~7*10^16 samples per stream) and
-    stream tags in the remaining 8.
+    The Philox key is (seed, stream << 56 | index); see _check_key for
+    the ranges.
     """
-    if not 0 <= seed <= _MASK64:
-        raise ValueError(f"seed {seed} outside 0..2^64-1")
-    if not 0 <= index < (1 << _INDEX_BITS):
-        raise ValueError(f"sample index {index} outside 0..2^{_INDEX_BITS}-1")
-    if not 0 <= stream < (1 << (64 - _INDEX_BITS)):
-        raise ValueError(f"stream tag {stream} outside 0..2^{64 - _INDEX_BITS}-1")
-    word = (stream << _INDEX_BITS) | index
-    key = np.array([seed, word], dtype=np.uint64)
+    _check_key(seed, stream, index)
+    key = np.array([seed, (stream << _INDEX_BITS) | index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _rekeyer(
+    seed: int, stream: int, start: int, count: int
+) -> Callable[[int], np.random.Generator]:
+    """One Philox and Generator for the substreams start..start+count-1
+    of (seed, stream), built once.
+
+    The returned function re-keys the Philox for a sample index (key word
+    1 becomes stream << 56 | index; the counter, the output buffer and
+    the cached 32-bit half are reset through its state dict) and returns
+    the same Generator, now in the state substream(seed, index, stream)
+    starts in.  Call it only with indices in the checked range.
+    """
+    _check_key(seed, stream, start, count)
+    key = [seed, 0]
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,  # buffer used up: the next draw computes a block
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    bit_gen = np.random.Philox(key=np.array(key, dtype=np.uint64))
+    gen = np.random.Generator(bit_gen)
+    word = stream << _INDEX_BITS
+
+    def rekey(index: int) -> np.random.Generator:
+        key[1] = word | index
+        bit_gen.state = state
+        return gen
+
+    return rekey
 
 
 def sample_uniform(n: int, seed: int, index: int = 0) -> Permutation:
@@ -85,27 +137,51 @@ def sample_by_reduction(n: int, seed: int, index: int = 0) -> Permutation:
 
 def sample_uniform_batch(n: int, seed: int, count: int, start: int = 0) -> np.ndarray:
     """(count, n) array of shuffled permutations for sample indices
-    start..start+count-1.  Row i equals sample_uniform(n, seed, start+i)."""
+    start..start+count-1.  Row i equals sample_uniform(n, seed, start+i),
+    the shuffle of 1..n by substream(seed, start+i, SHUFFLE_STREAM)."""
     if n < 1:
         raise ZeroSize(f"cannot sample a permutation of size {n}")
+    rekey = _rekeyer(seed, SHUFFLE_STREAM, start, count)
     dtype = np.int16 if n < 2**15 else np.int32
     out = np.empty((count, n), dtype=dtype)
-    base = np.arange(1, n + 1)
+    base = np.arange(1, n + 1, dtype=np.int64)
+    buf = np.empty_like(base)  # an int64 shuffle beats one of the int16 row
     for i in range(count):
-        gen = substream(seed, start + i, SHUFFLE_STREAM)
-        out[i] = gen.permutation(base)
+        buf[:] = base
+        rekey(start + i).shuffle(buf)
+        out[i] = buf
     return out
+
+
+def _tied_rows(u: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Indices of the rows of u with a repeated value; order argsorts
+    each row."""
+    ordered = np.take_along_axis(u, order, axis=1)
+    return np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
 
 
 def sample_by_reduction_batch(n: int, seed: int, count: int, start: int = 0) -> np.ndarray:
     """(count, n) array of rank-of-uniforms permutations; row i equals
-    sample_by_reduction(n, seed, start+i)."""
+    sample_by_reduction(n, seed, start+i).
+
+    Rows are drawn into float blocks of at most _BLOCK_CELLS entries and
+    ranked per block by a double argsort.  A row with a tie is redrawn by
+    _reduction_draw from its re-keyed substream, as a lone draw would be.
+    """
     if n < 1:
         raise ZeroSize(f"cannot sample a permutation of size {n}")
+    rekey = _rekeyer(seed, REDUCTION_STREAM, start, count)
     dtype = np.int16 if n < 2**15 else np.int32
     out = np.empty((count, n), dtype=dtype)
-    for i in range(count):
-        gen = substream(seed, start + i, REDUCTION_STREAM)
-        u = _reduction_draw(gen, n)
-        out[i] = np.argsort(np.argsort(u)) + 1
+    rows = max(1, _BLOCK_CELLS // n)
+    block = np.empty((min(rows, count), n))
+    for first in range(0, count, rows):
+        u = block[: min(rows, count - first)]
+        for r, row in enumerate(u):
+            rekey(start + first + r).random(out=row)
+        order = np.argsort(u, axis=1)
+        out[first : first + len(u)] = np.argsort(order, axis=1) + 1
+        for r in _tied_rows(u, order):
+            redrawn = _reduction_draw(rekey(start + first + r), n)
+            out[first + r] = np.argsort(np.argsort(redrawn)) + 1
     return out

@@ -221,6 +221,16 @@ def test_conditional_formula_check_rejects_empty_runs():
             )
 
 
+def test_conditional_formula_check_rejects_a_bad_window_before_drawing():
+    # 3|1,2 has a last block of two, so only 0 <= m <= i <= 1 is a window.
+    # m > i used to reach the draw with a negative width and die there
+    # with a bare ValueError.
+    p = parse_pattern("3|1,2")
+    for m, i in ((3, 1), (1, 0), (0, 9), (-1, 0)):
+        with pytest.raises(BadWindow):
+            conditional_formula_check(p, n=8, m=m, i=i, trials=1, seed=0, inner_samples=100)
+
+
 def test_total_variance_full_depth_at_the_cap():
     # Conditioning on all nine values: the last n-1 already fix the
     # permutation, so the final cascade term and the residual vanish.
@@ -315,6 +325,18 @@ def test_pinned_suffix_rejects_repeated_or_out_of_range_pins():
     # of each set the whole interval.
     ends = (Fraction(0), Fraction(1))
     assert pinned_suffix_probabilities(parse_pattern("2|1,3"), 7, I, J, ends) == (1, 1, 1)
+
+
+def test_pinned_suffix_rejects_more_pins_than_positions():
+    # Eight pins at n = 7 would pin a position 0 that does not exist; they
+    # used to give (1, 1, 1).  Seven pins, one per position, are allowed.
+    p = parse_pattern("1|2,3")
+    I = PositionSet((1, 6, 7), 7)
+    J = PositionSet((4, 6, 7), 7)
+    with pytest.raises(BadWindow):
+        pinned_suffix_probabilities(p, 7, I, J, [Fraction(v, 9) for v in range(1, 9)])
+    full = [Fraction(v, 8) for v in range(1, 8)]
+    assert pinned_suffix_probabilities(p, 7, I, J, full) == (1, 1, 1)
 
 
 def test_pinned_marginals_sum_to_conditional_expectation():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from vincstat import sampling
 from vincstat.errors import ZeroSize
 from vincstat.sampling import (
     REDUCTION_STREAM,
@@ -63,6 +64,127 @@ def test_batch_rows_match_scalar_calls():
         assert rows.shape == (6, 9)
         for i in range(6):
             assert tuple(int(v) for v in rows[i]) == scalar_fn(9, seed=314, index=10 + i).values
+
+
+def _raw_shuffle(n, seed, index):
+    """numpy's Fisher-Yates shuffle of 1..n, replayed in pure Python from
+    the raw Philox stream of the (seed, index) shuffle substream: for
+    i = n-1..1, j is drawn from 0..i by masked rejection on 32-bit words
+    (each 64-bit output split, low half first) and entries i and j swap."""
+    key = np.array([seed, SHUFFLE_STREAM << 56 | index], dtype=np.uint64)
+    bit_gen = np.random.Philox(key=key)
+    words = []
+
+    def next32():
+        if not words:
+            raw = int(bit_gen.random_raw())
+            words.extend((raw >> 32, raw & 0xFFFFFFFF))
+        return words.pop()
+
+    values = list(range(1, n + 1))
+    for i in range(n - 1, 0, -1):
+        mask = (1 << i.bit_length()) - 1
+        j = next32() & mask
+        while j > i:
+            j = next32() & mask
+        values[i], values[j] = values[j], values[i]
+    return values
+
+
+def test_shuffle_rows_follow_the_raw_philox_stream():
+    # NEP 19 keeps bit-generator raw streams stable across numpy versions;
+    # this pins the seeded shuffle to that stream, not to Generator code.
+    for n in (1, 2, 3, 7, 25, 100, 300):
+        for seed, start in ((0, 0), (314, 10), (2**64 - 1, 2**56 - 3)):
+            rows = sample_uniform_batch(n, seed, 3, start)
+            for i, row in enumerate(rows):
+                assert row.tolist() == _raw_shuffle(n, seed, start + i)
+
+
+def test_literal_rows():
+    assert sample_uniform_batch(8, seed=2024, count=3, start=5).tolist() == [
+        [4, 3, 1, 6, 5, 8, 7, 2],
+        [2, 6, 8, 5, 7, 1, 3, 4],
+        [5, 6, 8, 1, 7, 2, 4, 3],
+    ]
+    assert sample_by_reduction_batch(8, seed=2024, count=3, start=5).tolist() == [
+        [7, 5, 3, 8, 4, 2, 1, 6],
+        [6, 4, 2, 5, 8, 1, 7, 3],
+        [4, 1, 6, 3, 2, 7, 5, 8],
+    ]
+    top = 2**56 - 2
+    assert sample_uniform_batch(5, seed=2**64 - 1, count=2, start=top).tolist() == [
+        [5, 2, 1, 4, 3],
+        [2, 1, 5, 4, 3],
+    ]
+    assert sample_by_reduction_batch(5, seed=2**64 - 1, count=2, start=top).tolist() == [
+        [2, 1, 3, 4, 5],
+        [3, 4, 1, 2, 5],
+    ]
+
+
+def _fresh_shuffle(n, seed, index):
+    return substream(seed, index, SHUFFLE_STREAM).permutation(np.arange(1, n + 1))
+
+
+def _fresh_reduction(n, seed, index):
+    u = sampling._reduction_draw(substream(seed, index, REDUCTION_STREAM), n)
+    return np.argsort(np.argsort(u)) + 1
+
+
+@pytest.mark.parametrize(
+    "seed, start", [(0, 0), (2**64 - 1, 0), (7, 2**56 - 4), (2**64 - 1, 2**56 - 4)]
+)
+def test_batch_rows_equal_fresh_substreams_at_the_key_edges(seed, start):
+    # The re-keyed generator must start every row in a fresh substream's
+    # state, at the first and last sample index and at the largest seed.
+    for n in (1, 2, 9, 40):
+        for batch_fn, fresh in (
+            (sample_uniform_batch, _fresh_shuffle),
+            (sample_by_reduction_batch, _fresh_reduction),
+        ):
+            rows = batch_fn(n, seed, 4, start)
+            for i in range(4):
+                assert np.array_equal(rows[i], fresh(n, seed, start + i))
+
+
+def test_batch_index_range_check():
+    for batch_fn in (sample_uniform_batch, sample_by_reduction_batch):
+        with pytest.raises(ValueError):
+            batch_fn(5, seed=0, count=4, start=2**56 - 3)
+        with pytest.raises(ValueError):
+            batch_fn(5, seed=0, count=1, start=-1)
+        with pytest.raises(ValueError):
+            batch_fn(5, seed=1 << 64, count=1)
+        assert batch_fn(5, seed=0, count=0).shape == (0, 5)
+
+
+def test_tied_rows_finds_repeats():
+    u = np.array([[0.1, 0.1, 0.3], [0.3, 0.2, 0.1], [0.5, 0.2, 0.5]])
+    order = np.argsort(u, axis=1)
+    assert sampling._tied_rows(u, order).tolist() == [0, 2]
+
+
+def test_reduction_tie_fallback_redraws_from_the_row_substream(monkeypatch):
+    # Float64 ties never happen in practice, so a stubbed detector reports
+    # some rows as tied.  Small blocks put those rows in different blocks;
+    # each must be redrawn from its own substream into its own row.
+    n, seed, start, count = 7, 11, 3, 9
+    expected = [_fresh_reduction(n, seed, start + i) for i in range(count)]
+    redraws = []
+    real_draw = sampling._reduction_draw
+
+    def counting_draw(gen, size):
+        redraws.append(size)
+        return real_draw(gen, size)
+
+    monkeypatch.setattr(sampling, "_BLOCK_CELLS", 2 * n)
+    monkeypatch.setattr(sampling, "_tied_rows", lambda u, order: np.arange(len(u))[::-1])
+    monkeypatch.setattr(sampling, "_reduction_draw", counting_draw)
+    rows = sample_by_reduction_batch(n, seed, count, start)
+    assert redraws == [n] * count
+    for i in range(count):
+        assert np.array_equal(rows[i], expected[i])
 
 
 def test_shuffle_frequencies_s3():
