@@ -116,21 +116,10 @@ class MonteCarloReport:
     used_exact_moments: bool
 
 
-def _count_chunk(pattern, n, seed, start, count, posmat) -> np.ndarray:
+def _count_chunk(args) -> np.ndarray:
+    pattern, n, seed, start, count, posmat = args
     perms = sample_uniform_batch(n, seed, count, start)
     return count_occurrences_batch(perms, pattern, posmat)
-
-
-_WORKER_POSMAT: np.ndarray | None = None  # a pool worker's copy, set once
-
-
-def _init_worker(posmat: np.ndarray) -> None:
-    global _WORKER_POSMAT
-    _WORKER_POSMAT = posmat
-
-
-def _count_chunk_in_worker(task) -> np.ndarray:
-    return _count_chunk(*task, _WORKER_POSMAT)
 
 
 def run_experiment(
@@ -158,19 +147,16 @@ def run_experiment(
 
     posmat = position_matrix(n, pattern)
     tasks = [
-        (pattern, n, seed, start, min(_CHUNK, m - start)) for start in range(0, m, _CHUNK)
+        (pattern, n, seed, start, min(_CHUNK, m - start), posmat)
+        for start in range(0, m, _CHUNK)
     ]
     if threads and threads > 1:
-        # Each worker receives posmat once, through the initializer, not
-        # with every task.
-        with ProcessPoolExecutor(
-            max_workers=threads, initializer=_init_worker, initargs=(posmat,)
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
             # One batch per worker, so even a few chunks are split.
             batch = -(-len(tasks) // threads)
-            pieces = list(pool.map(_count_chunk_in_worker, tasks, chunksize=batch))
+            pieces = list(pool.map(_count_chunk, tasks, chunksize=batch))
     else:
-        pieces = [_count_chunk(*t, posmat) for t in tasks]
+        pieces = [_count_chunk(t) for t in tasks]
     counts = np.concatenate(pieces).astype(np.float64)
 
     use_exact = pattern.size <= config.max_exact_k(unsafe)

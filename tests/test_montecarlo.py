@@ -109,14 +109,11 @@ def test_run_experiment_deterministic_and_thread_invariant():
 def test_run_experiment_gives_every_worker_a_share(monkeypatch):
     # Four chunks over three workers go out in batches of ceil(4/3) = 2,
     # so the work is split; a fixed batch of four sent it all to one.
-    # The position matrix reaches each worker once, through the pool's
-    # initializer, and no task carries an array.
     seen = {}
 
     class SerialPool:
-        def __init__(self, max_workers, initializer, initargs):
+        def __init__(self, max_workers):
             seen["workers"] = max_workers
-            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -126,14 +123,11 @@ def test_run_experiment_gives_every_worker_a_share(monkeypatch):
 
         def map(self, fn, tasks, chunksize):
             seen["chunksize"] = chunksize
-            tasks = list(tasks)
-            seen["task_arrays"] = sum(isinstance(x, np.ndarray) for t in tasks for x in t)
             return map(fn, tasks)
 
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(montecarlo, "_WORKER_POSMAT", None)
     run_experiment(parse_pattern("2,1"), n=6, m=3 * _CHUNK + 1, seed=3, threads=3)
-    assert seen == {"workers": 3, "chunksize": 2, "task_arrays": 0}
+    assert seen == {"workers": 3, "chunksize": 2}
 
 
 def test_run_experiment_standardization_is_exact():
