@@ -23,7 +23,13 @@ from . import config
 from .errors import DegenerateInput, EmptySample, PatternTooSmall, TooFewSamples
 from .moments import exact_variance_at, expectation
 from .patterns import VincularPattern, format_pattern
-from .positions import count_occurrences_batch, position_matrix
+from .positions import (
+    check_sweep_size,
+    count_occurrences_batch,
+    count_occurrences_sweep,
+    is_path_shaped,
+    position_matrix,
+)
 from .sampling import sample_uniform_batch
 
 __all__ = [
@@ -38,6 +44,8 @@ __all__ = [
 
 _CHUNK = 4096  # samples per generation/counting chunk; fixed so results
                # never depend on worker count
+_CHUNK_CELLS = 2**23  # fewer samples per chunk once n > 2048, so that a
+                      # chunk of rows stays within this many cells
 
 
 def empirical_kolmogorov(xs: np.ndarray) -> float:
@@ -119,6 +127,8 @@ class MonteCarloReport:
 def _count_chunk(args) -> np.ndarray:
     pattern, n, seed, start, count, posmat = args
     perms = sample_uniform_batch(n, seed, count, start)
+    if posmat is None:
+        return count_occurrences_sweep(perms, pattern)
     return count_occurrences_batch(perms, pattern, posmat)
 
 
@@ -135,8 +145,11 @@ def run_experiment(
 
     Standardization uses the exact mean and variance when the pattern is
     within the exact-moment limit (raised to at least k=6 by unsafe),
-    otherwise sample moments (recorded in the report).  Output is
-    identical for every thread count.
+    otherwise sample moments (recorded in the report).  Path-shaped
+    patterns are counted by count_occurrences_sweep, with no position
+    matrix, for hosts up to the listing cap; every other pattern by the
+    chain kernel over position_matrix.  Output is identical for every
+    thread count.
     """
     if pattern.size < 2:
         raise PatternTooSmall("the normal limit concerns patterns of size k >= 2")
@@ -145,10 +158,15 @@ def run_experiment(
     if m < 100:
         raise DegenerateInput(f"need at least 100 samples, got {m}")
 
-    posmat = position_matrix(n, pattern)
+    if is_path_shaped(pattern):
+        check_sweep_size(n, pattern)
+        posmat = None
+    else:
+        posmat = position_matrix(n, pattern)
+    chunk = max(1, min(_CHUNK, _CHUNK_CELLS // n))
     tasks = [
-        (pattern, n, seed, start, min(_CHUNK, m - start), posmat)
-        for start in range(0, m, _CHUNK)
+        (pattern, n, seed, start, min(chunk, m - start), posmat)
+        for start in range(0, m, chunk)
     ]
     if threads and threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:

@@ -8,20 +8,35 @@ is determined by its j block starts.  Sliding every block flush against
 its predecessor turns the starts into a j-subset of {1..n-k+j}; that
 shift is a bijection, which gives the count binom(n-k+j, j) and a handy
 odometer for enumeration (choose the subset, shift back).
+
+Two counters share one definition of an occurrence.  The chain kernel,
+count_occurrences_batch, tests every listed position set with k-1
+comparisons; it is the reference and serves every shape, under the
+listing cap.  The sweep, count_occurrences_sweep, serves path-shaped
+patterns (is_path_shaped: j >= 2 blocks whose values are intervals,
+monotone in position), whose conditions chain block to block: j-1
+dominance sweeps over positions count them in about n^1.5 cells per host
+row, with no position matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
-from math import comb
+from math import comb, isqrt
 from typing import Iterator
 
 import numpy as np
 
 from . import config
-from .errors import NotAdmissible, SizeLimitExceeded, SizeMismatch
-from .patterns import Permutation, VincularPattern, reduce_sequence
+from .errors import (
+    NotAdmissible,
+    NotAPermutation,
+    PatternError,
+    SizeLimitExceeded,
+    SizeMismatch,
+)
+from .patterns import Permutation, VincularPattern, format_pattern, reduce_sequence
 
 __all__ = [
     "PositionSet",
@@ -32,6 +47,9 @@ __all__ = [
     "occurs_at",
     "count_occurrences",
     "position_matrix",
+    "is_path_shaped",
+    "check_sweep_size",
+    "count_occurrences_sweep",
 ]
 
 
@@ -222,4 +240,145 @@ def count_occurrences_batch(
             ok &= prev < cur
             prev = cur
         counts[lo : lo + chunk] = ok.sum(axis=1)
+    return counts
+
+
+# Largest DP weight or partial sum count_occurrences_sweep can hold.
+_INT64_MAX = 2**63 - 1
+
+# Cells of one (rows, n+1) value histogram; fixes the rows per sub-chunk.
+_SWEEP_CELLS = 2**16
+
+
+def _block_values(pattern: VincularPattern) -> list[tuple[int, ...]]:
+    values, out, pos = pattern.order.values, [], 0
+    for b in pattern.blocks:
+        out.append(values[pos : pos + b])
+        pos += b
+    return out
+
+
+def is_path_shaped(pattern: VincularPattern) -> bool:
+    """Whether count_occurrences_sweep covers the pattern: j >= 2 blocks,
+    each block's values an interval of 1..k, and the intervals monotone in
+    position (automatic for j = 2).  Then every occurrence condition is a
+    window test inside a block or one comparison between neighbouring
+    blocks: the largest entry of one below the smallest of the next."""
+    if pattern.block_count < 2:
+        return False
+    lows = []
+    for block in _block_values(pattern):
+        if max(block) - min(block) + 1 != len(block):
+            return False
+        lows.append(min(block))
+    return lows == sorted(lows) or lows == sorted(lows, reverse=True)
+
+
+def check_sweep_size(n: int, pattern: VincularPattern) -> None:
+    """Refuse a sweep that the limits do not allow: a host larger than the
+    listing cap (the bound window patterns meet through their n-k+1 sets),
+    or one whose int64 DP weights could overflow.  After block i a weight
+    counts placements of the first i blocks, at most
+    binom(n - (b_1 + ... + b_i) + i, i); the last of these bounds is
+    position_count."""
+    cap = config.listing_cap()
+    if n > cap:
+        raise SizeLimitExceeded(f"host size {n} exceeds the listing cap of {cap}")
+    used = 0
+    for i, b in enumerate(pattern.blocks, start=1):
+        used += b
+        if comb(max(0, n - used + i), i) > _INT64_MAX:
+            raise SizeLimitExceeded(
+                f"placements of {format_pattern(pattern)} at n={n} overflow int64"
+            )
+
+
+def _window_match(v: np.ndarray, chain: list[int]) -> np.ndarray:
+    # Start s matches when v[s + chain[0]] < v[s + chain[1]] < ...
+    span = v.shape[1] - len(chain) + 1
+    ok = np.ones((v.shape[0], span), dtype=bool)
+    for lo, hi in zip(chain, chain[1:]):
+        ok &= v[:, lo : lo + span] < v[:, hi : hi + span]
+    return ok
+
+
+def _dominance(x: np.ndarray, weight: np.ndarray, y: np.ndarray, gap: int, n: int) -> np.ndarray:
+    """out[:, t] = sum of weight[:, s] over s <= t - gap with x[:, s] < y[:, t].
+
+    x and y hold values in 1..n, distinct within each row of x.  Sources
+    are cut into blocks of about sqrt(len) positions, and a target's
+    sources are the blocks wholly before its own plus a prefix of its own.
+    A running value histogram of the passed blocks, cumulated once per
+    block, answers the first part with one lookup per target; one
+    broadcast compare inside the block answers the second.
+    """
+    rows, sources = x.shape
+    targets = y.shape[1]
+    width = max(1, isqrt(sources))
+    before = np.tri(width, width, -1, dtype=bool)  # source s_rel < target u
+    out = np.zeros((rows, targets), dtype=np.int64)
+    hist = np.zeros((rows, n + 1), dtype=np.int64)
+    below = np.empty_like(hist)
+    at = np.arange(rows)[:, None]
+    # Targets t0 .. t0+width-1 end their sources inside block s0 .. s0+width-1.
+    for s0, t0 in zip(range(0, sources, width), range(gap - 1, targets, width)):
+        s1, t1 = min(s0 + width, sources), min(t0 + width, targets)
+        xs, ws, ys = x[:, s0:s1], weight[:, s0:s1], y[:, t0:t1]
+        if s0:
+            np.cumsum(hist, axis=1, out=below)
+            out[:, t0:t1] = np.take_along_axis(below, ys - 1, axis=1)
+        near = (xs[:, None, :] < ys[:, :, None]) & before[: t1 - t0, : s1 - s0]
+        out[:, t0:t1] += np.einsum("rts,rs->rt", near, ws)
+        hist[at, xs] = ws
+    return out
+
+
+def count_occurrences_sweep(perms: np.ndarray, pattern: VincularPattern) -> np.ndarray:
+    """Occurrence counts of a path-shaped pattern (is_path_shaped) without
+    listing position sets.
+
+    perms is an (m, n) integer array of permutations of {1..n}; entries
+    outside 1..n are rejected, repeated entries give meaningless counts
+    (as in count_occurrences_batch).  With block i
+    starting at s, M_i(s) tests the window inside the block and W_i the
+    occurrences of blocks 1..i that end with block i at s:
+        W_1 = M_1,
+        W_{i+1}(t) = M_{i+1}(t) * sum over s <= t - b_i of
+                     W_i(s) * [sigma(s + argmax_i) < sigma(t + argmin_{i+1})],
+    and the count is the sum of W_j.  Blocks whose values fall with
+    position are swept in the complement values n+1-sigma, where they
+    rise.  Each step is a weighted dominance count (_dominance), about
+    n^1.5 cells per row, over row sub-chunks of at most _SWEEP_CELLS
+    histogram cells.  The counts equal count_occurrences_batch's.  Sweeps
+    over constraints that form a path follow Even-Zohar & Leng,
+    "Counting small permutation patterns" (SODA 2021).
+    """
+    if not is_path_shaped(pattern):
+        raise PatternError(f"{format_pattern(pattern)} is not path-shaped")
+    perms = np.asarray(perms)
+    m, n = perms.shape
+    check_sweep_size(n, pattern)
+    if perms.size and (perms.dtype.kind not in "iu" or perms.min() < 1 or perms.max() > n):
+        raise NotAPermutation(f"host rows must hold integers in 1..{n}")
+    counts = np.zeros(m, dtype=np.int64)
+    if n < pattern.size:
+        return counts
+    falling = pattern.order.values[0] > pattern.order.values[-1]
+    # Each block's offsets in increasing swept value: first argmin, last argmax.
+    chains = [
+        sorted(range(len(block)), key=lambda o: -block[o] if falling else block[o])
+        for block in _block_values(pattern)
+    ]
+    step = max(1, _SWEEP_CELLS // (n + 1))
+    for lo in range(0, m, step):
+        v = perms[lo : lo + step].astype(np.intp)
+        if falling:
+            v = n + 1 - v
+        weight = _window_match(v, chains[0]).astype(np.int64)
+        for prev, nxt in zip(chains, chains[1:]):
+            match = _window_match(v, nxt)
+            x = v[:, prev[-1] : prev[-1] + weight.shape[1]]
+            y = v[:, nxt[0] : nxt[0] + match.shape[1]]
+            weight = match * _dominance(x, weight, y, len(prev), n)
+        counts[lo : lo + step] = weight.sum(axis=1)
     return counts

@@ -286,6 +286,16 @@ def test_count_respects_listing_cap(runner):
     assert _ok(runner.invoke(main, ["count", "--pattern", "1|2|3", "--perm", perm]))["count"] > 0
 
 
+def test_clt_counts_multi_block_patterns_past_the_position_listing(runner):
+    # 1 122 751 position sets for 3|1,2 at n = 1500: the sweep needs no
+    # position matrix, and the listing cap still bounds the host size.
+    clt = ["clt", "--pattern", "3|1,2", "--n", "1500", "--samples", "100", "--threads", "1"]
+    assert _ok(runner.invoke(main, clt))["exact_moments"] is True
+    result = runner.invoke(main, clt, env={"VINCSTAT_LISTING_CAP": "1000"})
+    assert result.exit_code == 1
+    assert json.loads(result.output)["error"]["type"] == "SizeLimitExceeded"
+
+
 def test_exit_code_two_on_usage_errors(runner):
     assert runner.invoke(main, ["moments", "--pattern", "2,1"]).exit_code == 2  # no --n
     assert runner.invoke(main, ["bounds", "--kind", "stein"]).exit_code == 2

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from vincstat.errors import DegenerateInput, EmptySample, PatternTooSmall, TooFewSamples
+from vincstat.errors import (
+    DegenerateInput,
+    EmptySample,
+    PatternTooSmall,
+    SizeLimitExceeded,
+    TooFewSamples,
+)
 from vincstat import montecarlo
 from vincstat.montecarlo import (
     _CHUNK,
@@ -13,6 +19,7 @@ from vincstat.montecarlo import (
     sample_cumulants,
 )
 from vincstat.patterns import parse_pattern
+from vincstat.positions import position_count
 from vincstat.sampling import NORMAL_STREAM, substream
 
 
@@ -232,3 +239,51 @@ def test_distance_monotone_over_three_hosts():
     d = {n: run_experiment(p, n=n, m=m, seed=21).d_K for n in (100, 400, 1600)}
     assert d[400] <= d[100] + slack
     assert d[1600] <= d[400] + slack
+
+
+@pytest.mark.parametrize("text, n", [("3|1,2", 60), ("1|2", 45), ("2,1|3|4", 20)])
+def test_sweep_path_reports_equal_chain_path_reports(monkeypatch, text, n):
+    p = parse_pattern(text)
+    sweep = run_experiment(p, n=n, m=1_500, seed=17, threads=1)
+    monkeypatch.setattr(montecarlo, "is_path_shaped", lambda pattern: False)
+    assert run_experiment(p, n=n, m=1_500, seed=17, threads=1) == sweep
+
+
+def test_sweep_path_is_thread_invariant():
+    p = parse_pattern("3|1,2")
+    m = _CHUNK + 1  # two chunks, so two workers really split the work
+    one = run_experiment(p, n=25, m=m, seed=5, threads=1)
+    assert run_experiment(p, n=25, m=m, seed=5, threads=2) == one
+
+
+@pytest.mark.parametrize("text", ["3|1,2", "2,1"])
+def test_chunk_cell_bound_leaves_reports_alone(monkeypatch, text):
+    # A cell budget of 500 at n = 50 cuts 300 samples into 30 chunks of 10.
+    p = parse_pattern(text)
+    whole = run_experiment(p, n=50, m=300, seed=8, threads=1)
+    monkeypatch.setattr(montecarlo, "_CHUNK_CELLS", 500)
+    seen = []
+    count_chunk = montecarlo._count_chunk
+
+    def recording(args):
+        seen.append(args[4])
+        return count_chunk(args)
+
+    monkeypatch.setattr(montecarlo, "_count_chunk", recording)
+    assert run_experiment(p, n=50, m=300, seed=8, threads=1) == whole
+    assert seen == [10] * 30
+
+
+def test_sweep_path_size_guards(monkeypatch):
+    # The host size is bounded by the listing cap ...
+    monkeypatch.setenv("VINCSTAT_LISTING_CAP", "1000")
+    assert run_experiment(parse_pattern("3|1,2"), n=1_000, m=100, seed=0).n == 1_000
+    with pytest.raises(SizeLimitExceeded, match="listing cap"):
+        run_experiment(parse_pattern("3|1,2"), n=1_001, m=100, seed=0)
+    monkeypatch.delenv("VINCSTAT_LISTING_CAP")
+    # ... and the int64 DP weights by 2^63 - 1; both refuse before sampling.
+    wide = parse_pattern("1|2|3|4|5")
+    assert position_count(100_000, wide) > 2**63 - 1
+    monkeypatch.setattr(montecarlo, "sample_uniform_batch", None)
+    with pytest.raises(SizeLimitExceeded, match="overflow"):
+        run_experiment(wide, n=100_000, m=100, seed=0)

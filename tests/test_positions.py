@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vincstat.errors import NotAdmissible, SizeLimitExceeded, SizeMismatch
+from vincstat import positions
+from vincstat.errors import (
+    NotAdmissible,
+    NotAPermutation,
+    PatternError,
+    SizeLimitExceeded,
+    SizeMismatch,
+)
 from vincstat.patterns import (
     Permutation,
     iter_patterns,
@@ -16,7 +23,9 @@ from vincstat.positions import (
     PositionSet,
     count_occurrences,
     count_occurrences_batch,
+    count_occurrences_sweep,
     enumerate_position_sets,
+    is_path_shaped,
     occurs_at,
     position_count,
     position_matrix,
@@ -268,3 +277,90 @@ def test_single_block_patterns_match_window_scan():
         sigma = Permutation(tuple(int(v) for v in row))
         for p in tight:
             assert count_occurrences(sigma, p) == _window_scan(sigma, p)
+
+
+def _block_sets(pattern) -> list[set[int]]:
+    values, out, pos = pattern.order.values, [], 0
+    for b in pattern.blocks:
+        out.append(set(values[pos : pos + b]))
+        pos += b
+    return out
+
+
+def _path_shaped_by_definition(pattern) -> bool:
+    """At least two blocks, each an interval of values, every block wholly
+    below its successor or wholly above it, the same way throughout."""
+    blocks = _block_sets(pattern)
+    if len(blocks) < 2:
+        return False
+    if any(b != set(range(min(b), max(b) + 1)) for b in blocks):
+        return False
+    pairs = list(zip(blocks, blocks[1:]))
+    return all(max(a) < min(b) for a, b in pairs) or all(min(a) > max(b) for a, b in pairs)
+
+
+def test_path_shape_predicate_matches_its_definition():
+    for k, expected in ((1, 0), (2, 2), (3, 10), (4, 46), (5, 222)):
+        accepted = [p for p in iter_patterns(k) if is_path_shaped(p)]
+        assert accepted == [p for p in iter_patterns(k) if _path_shaped_by_definition(p)]
+        assert len(accepted) == expected
+    for text in ("3|1,2", "1|2", "2|1", "1|2|3", "3|2|1", "2,1|3|4", "4|3|1,2"):
+        assert is_path_shaped(parse_pattern(text)), text
+    # Not path-shaped: values not monotone across blocks, blocks that are
+    # not value intervals, a single block.
+    for text in ("1|3|2", "2,4|1,3", "2,1", "1,3|2", "2|1|3"):
+        assert not is_path_shaped(parse_pattern(text)), text
+
+
+_PATH_SHAPED = [p for k in range(2, 6) for p in iter_patterns(k) if is_path_shaped(p)]
+
+
+def test_sweep_equals_chain_kernel_on_every_path_shaped_pattern(monkeypatch):
+    # Every covered pattern with k <= 5 at every n <= 12 (n < k included);
+    # a small cell budget splits the 40 rows into several sub-chunks.
+    monkeypatch.setattr(positions, "_SWEEP_CELLS", 64)
+    for n in range(1, 13):
+        perms = sample_uniform_batch(n, seed=n, count=40)
+        for p in _PATH_SHAPED:
+            sweep = count_occurrences_sweep(perms, p)
+            assert sweep.dtype == np.int64
+            assert sweep.tolist() == count_occurrences_batch(perms, p).tolist(), (p, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_PATH_SHAPED), st.integers(1, 11), st.data())
+def test_sweep_matches_occurs_at(pattern, n, data):
+    sigma = Permutation(tuple(data.draw(st.permutations(range(1, n + 1)))))
+    hits = sum(occurs_at(sigma, pattern.order, I) for I in enumerate_position_sets(n, pattern))
+    assert count_occurrences_sweep(np.array([sigma.values]), pattern).tolist() == [hits]
+
+
+def test_sweep_covers_hosts_beyond_the_listing_cap():
+    # 1|2 at n = 2000 has 1 999 000 position sets, past the default cap:
+    # every pair of the identity rises, none of its reverse, and a sampled
+    # row is checked against a direct pair count.
+    n = 2000
+    rows = np.stack([np.arange(1, n + 1), np.arange(n, 0, -1), sample_uniform_batch(n, 4, 1)[0]])
+    counts = count_occurrences_sweep(rows, parse_pattern("1|2"))
+    r = rows[2]
+    assert counts[:2].tolist() == [comb(n, 2), 0]
+    assert counts[2] == int(np.triu(r[:, None] < r[None, :], 1).sum())
+
+
+def test_sweep_rejects_bad_shapes_rows_and_sizes(monkeypatch):
+    rows = sample_uniform_batch(8, seed=1, count=3)
+    for text in ("2,1", "1|3|2"):
+        with pytest.raises(PatternError):
+            count_occurrences_sweep(rows, parse_pattern(text))
+    # The values index a histogram: reals and out-of-range entries are refused.
+    for bad in (rows / 9.0, rows - 1, rows + 1):
+        with pytest.raises(NotAPermutation):
+            count_occurrences_sweep(bad, parse_pattern("3|1,2"))
+    # binom(10^5, 5) > 2^63 - 1: refused before any counting.
+    wide = parse_pattern("1|2|3|4|5")
+    assert position_count(100_000, wide) > 2**63 - 1
+    with pytest.raises(SizeLimitExceeded, match="overflow"):
+        count_occurrences_sweep(np.arange(1, 100_001)[None, :], wide)
+    monkeypatch.setenv("VINCSTAT_LISTING_CAP", "7")
+    with pytest.raises(SizeLimitExceeded, match="listing cap"):
+        count_occurrences_sweep(rows, parse_pattern("3|1,2"))
