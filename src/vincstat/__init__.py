@@ -17,7 +17,6 @@ from .moments import (
     exact_variance_at,
     expectation,
     joint_probability,
-    leading_coefficient,
     variance_polynomial,
 )
 from .montecarlo import (

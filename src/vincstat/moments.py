@@ -45,7 +45,6 @@ __all__ = [
     "covariance",
     "exact_variance_at",
     "variance_polynomial",
-    "leading_coefficient",
     "conditional_block_expectation",
 ]
 
@@ -88,12 +87,6 @@ class OverlapClass:
             tuple(rank[p] for p in sorted(I)),
             tuple(rank[p] for p in sorted(J)),
         )
-
-    def canonical(self) -> "OverlapClass":
-        """Swap-symmetric representative (covariance is symmetric in the
-        two sets)."""
-        a, b = sorted((self.i_mask, self.j_mask))
-        return OverlapClass(self.t, a, b)
 
     def swapped(self) -> "OverlapClass":
         return OverlapClass(self.t, self.j_mask, self.i_mask)
@@ -258,11 +251,6 @@ def variance_polynomial(pattern: VincularPattern, unsafe: bool = False) -> Varia
             "with a positive lead"
         )
     return poly
-
-
-def leading_coefficient(poly: VariancePolynomial) -> Fraction:
-    """Coefficient of n^(2j-1)."""
-    return poly.leading_coefficient
 
 
 def _check_window(pattern: VincularPattern, m: int, i: int) -> None:

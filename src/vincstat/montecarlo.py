@@ -23,13 +23,7 @@ from . import config
 from .errors import DegenerateInput, EmptySample, PatternTooSmall, TooFewSamples
 from .moments import exact_variance_at, expectation
 from .patterns import VincularPattern, format_pattern
-from .positions import (
-    check_sweep_size,
-    count_occurrences_batch,
-    count_occurrences_sweep,
-    is_path_shaped,
-    position_matrix,
-)
+from .positions import count_rows, plan_count
 from .sampling import sample_uniform_batch
 
 __all__ = [
@@ -125,11 +119,8 @@ class MonteCarloReport:
 
 
 def _count_chunk(args) -> np.ndarray:
-    pattern, n, seed, start, count, posmat = args
-    perms = sample_uniform_batch(n, seed, count, start)
-    if posmat is None:
-        return count_occurrences_sweep(perms, pattern)
-    return count_occurrences_batch(perms, pattern, posmat)
+    pattern, n, seed, start, count, plan = args
+    return count_rows(sample_uniform_batch(n, seed, count, start), pattern, plan)
 
 
 def run_experiment(
@@ -145,10 +136,10 @@ def run_experiment(
 
     Standardization uses the exact mean and variance when the pattern is
     within the exact-moment limit (raised to at least k=6 by unsafe),
-    otherwise sample moments (recorded in the report).  Path-shaped
-    patterns are counted by count_occurrences_sweep, with no position
-    matrix, for hosts up to the listing cap; every other pattern by the
-    chain kernel over position_matrix.  Output is identical for every
+    otherwise sample moments (recorded in the report).  The counter is
+    planned once for (n, pattern) by positions.plan_count, which refuses
+    a host beyond its limits before any sampling, and every chunk is
+    counted by positions.count_rows.  Output is identical for every
     thread count.
     """
     if pattern.size < 2:
@@ -158,14 +149,10 @@ def run_experiment(
     if m < 100:
         raise DegenerateInput(f"need at least 100 samples, got {m}")
 
-    if is_path_shaped(pattern):
-        check_sweep_size(n, pattern)
-        posmat = None
-    else:
-        posmat = position_matrix(n, pattern)
+    plan = plan_count(n, pattern)
     chunk = max(1, min(_CHUNK, _CHUNK_CELLS // n))
     tasks = [
-        (pattern, n, seed, start, min(chunk, m - start), posmat)
+        (pattern, n, seed, start, min(chunk, m - start), plan)
         for start in range(0, m, chunk)
     ]
     if threads and threads > 1:

@@ -96,7 +96,7 @@ def _check_oracle_size(n: int) -> None:
 
 
 def _all_counts(pattern: VincularPattern, n: int) -> np.ndarray:
-    return count_occurrences_batch(_full_table(n), pattern)
+    return count_occurrences_batch(_full_table(n), pattern, position_matrix(n, pattern))
 
 
 def brute_force_distribution(pattern: VincularPattern, n: int) -> dict[int, Fraction]:

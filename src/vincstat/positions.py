@@ -9,14 +9,16 @@ its predecessor turns the starts into a j-subset of {1..n-k+j}; that
 shift is a bijection, which gives the count binom(n-k+j, j) and a handy
 odometer for enumeration (choose the subset, shift back).
 
-Two counters share one definition of an occurrence.  The chain kernel,
-count_occurrences_batch, tests every listed position set with k-1
-comparisons; it is the reference and serves every shape, under the
-listing cap.  The sweep, count_occurrences_sweep, serves path-shaped
-patterns (is_path_shaped: j >= 2 blocks whose values are intervals,
-monotone in position), whose conditions chain block to block: j-1
-dominance sweeps over positions count them in about n^1.5 cells per host
-row, with no position matrix.
+Two counters share one definition of an occurrence, and this module
+alone chooses between them: plan_count picks one from (n, pattern) and
+count_rows applies it.  The sweep, count_occurrences_sweep, serves
+path-shaped patterns (is_path_shaped: blocks whose values are intervals,
+monotone in position; every window pattern is one), whose conditions
+chain block to block: j-1 dominance sweeps over positions count them in
+about n^1.5 cells per host row, with no position matrix.  The chain
+kernel, count_occurrences_batch, tests every set of a position_matrix
+with k-1 comparisons; it serves every other shape, under the listing
+cap, and is the reference the sweep is tested against.
 """
 
 from __future__ import annotations
@@ -48,8 +50,9 @@ __all__ = [
     "count_occurrences",
     "position_matrix",
     "is_path_shaped",
-    "check_sweep_size",
     "count_occurrences_sweep",
+    "plan_count",
+    "count_rows",
 ]
 
 
@@ -177,9 +180,11 @@ def occurs_at(sigma: Permutation, pi: Permutation, I: PositionSet) -> bool:
 
 
 def count_occurrences(sigma: Permutation, pattern: VincularPattern) -> int:
-    """Total number of admissible occurrences of the pattern in sigma.
-    Lists the position sets, so guarded by the listing cap."""
-    return int(count_occurrences_batch(np.array([sigma.values]), pattern)[0])
+    """Total number of admissible occurrences of the pattern in sigma:
+    the counting plan (plan_count) applied to one row, so guarded by the
+    same limits."""
+    plan = plan_count(sigma.size, pattern)
+    return int(count_rows(np.array([sigma.values]), pattern, plan)[0])
 
 
 def position_matrix(n: int, pattern: VincularPattern) -> np.ndarray:
@@ -205,7 +210,7 @@ def position_matrix(n: int, pattern: VincularPattern) -> np.ndarray:
 
 
 def count_occurrences_batch(
-    perms: np.ndarray, pattern: VincularPattern, posmat: np.ndarray | None = None
+    perms: np.ndarray, pattern: VincularPattern, posmat: np.ndarray
 ) -> np.ndarray:
     """Occurrence counts for many host rows at once: the one pattern test.
 
@@ -213,8 +218,8 @@ def count_occurrences_batch(
     of {1..n}, or reals (distinct uniforms) whose relative order is what
     counts.  Rows with repeated entries are not rejected and give
     meaningless counts; validate through Permutation before calling.
-    posmat holds the 0-based position sets to test, one per row; by
-    default all admissible sets, from position_matrix (listing cap).
+    posmat holds the 0-based position sets to test, one per row; all
+    admissible sets come from position_matrix (listing cap).
 
     The host values at the pattern entries taken in increasing pattern
     value must rise strictly; by transitivity those k-1 comparisons imply
@@ -222,9 +227,7 @@ def count_occurrences_batch(
     row chunks of about 8M gathered cells.
     """
     perms = np.asarray(perms)
-    m, n = perms.shape
-    if posmat is None:
-        posmat = position_matrix(n, pattern)
+    m = perms.shape[0]
     num_sets, k = posmat.shape
     counts = np.zeros(m, dtype=np.int64)
     if num_sets == 0:
@@ -259,13 +262,12 @@ def _block_values(pattern: VincularPattern) -> list[tuple[int, ...]]:
 
 
 def is_path_shaped(pattern: VincularPattern) -> bool:
-    """Whether count_occurrences_sweep covers the pattern: j >= 2 blocks,
-    each block's values an interval of 1..k, and the intervals monotone in
-    position (automatic for j = 2).  Then every occurrence condition is a
-    window test inside a block or one comparison between neighbouring
-    blocks: the largest entry of one below the smallest of the next."""
-    if pattern.block_count < 2:
-        return False
+    """Whether count_occurrences_sweep covers the pattern: each block's
+    values an interval of 1..k, and the intervals monotone in position
+    (automatic for j <= 2, so every window pattern qualifies).  Then every
+    occurrence condition is a window test inside a block or one comparison
+    between neighbouring blocks: the largest entry of one below the
+    smallest of the next."""
     lows = []
     for block in _block_values(pattern):
         if max(block) - min(block) + 1 != len(block):
@@ -274,16 +276,18 @@ def is_path_shaped(pattern: VincularPattern) -> bool:
     return lows == sorted(lows) or lows == sorted(lows, reverse=True)
 
 
-def check_sweep_size(n: int, pattern: VincularPattern) -> None:
-    """Refuse a sweep that the limits do not allow: a host larger than the
-    listing cap (the bound window patterns meet through their n-k+1 sets),
-    or one whose int64 DP weights could overflow.  After block i a weight
-    counts placements of the first i blocks, at most
+def _check_sweep_size(n: int, pattern: VincularPattern) -> None:
+    """Refuse a sweep that the limits do not allow: more window starts
+    n-k+1 than the listing cap (for a window pattern, exactly its
+    position sets), or DP weights that could overflow int64.  After
+    block i a weight counts placements of the first i blocks, at most
     binom(n - (b_1 + ... + b_i) + i, i); the last of these bounds is
     position_count."""
     cap = config.listing_cap()
-    if n > cap:
-        raise SizeLimitExceeded(f"host size {n} exceeds the listing cap of {cap}")
+    if n - pattern.size + 1 > cap:
+        raise SizeLimitExceeded(
+            f"{n - pattern.size + 1} window starts exceed the listing cap of {cap}"
+        )
     used = 0
     for i, b in enumerate(pattern.blocks, start=1):
         used += b
@@ -345,11 +349,12 @@ def count_occurrences_sweep(perms: np.ndarray, pattern: VincularPattern) -> np.n
         W_1 = M_1,
         W_{i+1}(t) = M_{i+1}(t) * sum over s <= t - b_i of
                      W_i(s) * [sigma(s + argmax_i) < sigma(t + argmin_{i+1})],
-    and the count is the sum of W_j.  Blocks whose values fall with
-    position are swept in the complement values n+1-sigma, where they
-    rise.  Each step is a weighted dominance count (_dominance), about
-    n^1.5 cells per row, over row sub-chunks of at most _SWEEP_CELLS
-    histogram cells.  The counts equal count_occurrences_batch's.  Sweeps
+    and the count is the sum of W_j; a window pattern (j = 1) takes no
+    step.  Blocks whose values fall with position are swept in the
+    complement values n+1-sigma, where they rise.  Each step is a
+    weighted dominance count (_dominance), about n^1.5 cells per row,
+    over row sub-chunks of at most _SWEEP_CELLS histogram cells.  The
+    counts equal count_occurrences_batch's.  Sweeps
     over constraints that form a path follow Even-Zohar & Leng,
     "Counting small permutation patterns" (SODA 2021).
     """
@@ -357,7 +362,7 @@ def count_occurrences_sweep(perms: np.ndarray, pattern: VincularPattern) -> np.n
         raise PatternError(f"{format_pattern(pattern)} is not path-shaped")
     perms = np.asarray(perms)
     m, n = perms.shape
-    check_sweep_size(n, pattern)
+    _check_sweep_size(n, pattern)
     if perms.size and (perms.dtype.kind not in "iu" or perms.min() < 1 or perms.max() > n):
         raise NotAPermutation(f"host rows must hold integers in 1..{n}")
     counts = np.zeros(m, dtype=np.int64)
@@ -382,3 +387,23 @@ def count_occurrences_sweep(perms: np.ndarray, pattern: VincularPattern) -> np.n
             weight = match * _dominance(x, weight, y, len(prev), n)
         counts[lo : lo + step] = weight.sum(axis=1)
     return counts
+
+
+def plan_count(n: int, pattern: VincularPattern) -> np.ndarray | None:
+    """The counter for hosts of size n, chosen once: None for a
+    path-shaped pattern, which count_rows sweeps (after the sweep's size
+    check), and otherwise the position_matrix the chain kernel tests
+    (listing cap).  Raises SizeLimitExceeded before any counting."""
+    if is_path_shaped(pattern):
+        _check_sweep_size(n, pattern)
+        return None
+    return position_matrix(n, pattern)
+
+
+def count_rows(perms: np.ndarray, pattern: VincularPattern, plan: np.ndarray | None) -> np.ndarray:
+    """Occurrence counts of the pattern in each row of perms, a (m, n)
+    integer array of permutations of {1..n}, by the plan
+    plan_count(n, pattern) returned."""
+    if plan is None:
+        return count_occurrences_sweep(perms, pattern)
+    return count_occurrences_batch(perms, pattern, plan)

@@ -1,6 +1,8 @@
 import json
+from itertools import combinations
 from math import sqrt
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -276,14 +278,45 @@ def test_unsafe_size_flag_unlocks_k6(runner):
 
 
 def test_count_respects_listing_cap(runner):
-    perm = "3,1,4,8,5,7,2,6"  # C(8,3) = 56 position sets for 1|2|3
+    # 1|3|2 is not path-shaped, so count lists its C(8,3) = 56 position sets.
+    perm = "3,1,4,8,5,7,2,6"
     result = runner.invoke(
-        main, ["count", "--pattern", "1|2|3", "--perm", perm],
+        main, ["count", "--pattern", "1|3|2", "--perm", perm],
         env={"VINCSTAT_LISTING_CAP": "10"},
     )
     assert result.exit_code == 1
     assert json.loads(result.output)["error"]["type"] == "SizeLimitExceeded"
-    assert _ok(runner.invoke(main, ["count", "--pattern", "1|2|3", "--perm", perm]))["count"] > 0
+    assert _ok(runner.invoke(main, ["count", "--pattern", "1|3|2", "--perm", perm]))["count"] > 0
+
+
+def _count(runner, pattern, values, env=None):
+    perm = ",".join(str(v) for v in values)
+    return runner.invoke(main, ["count", "--pattern", pattern, "--perm", perm], env=env)
+
+
+def test_count_sweeps_path_and_window_shapes_up_to_the_window_starts(runner):
+    # Path and window shapes need no listing: the cap bounds the n - k + 1
+    # window starts instead, and the counts equal direct ones.
+    cap = {"VINCSTAT_LISTING_CAP": "10"}
+    rng = np.random.default_rng(3)
+    row = [int(v) for v in rng.permutation(12) + 1]  # C(12,3) = 220 sets, 10 starts
+    triples = sum(a < b < c for a, b, c in combinations(row, 3))
+    assert _ok(_count(runner, "1|2|3", row, cap)) == {"count": triples}
+    # Past n = 182, where the default cap refused to list 1|2|3: one rising
+    # triple per middle entry, smaller entry before it and larger after.
+    r = rng.permutation(200) + 1
+    rises = r[:, None] < r[None, :]
+    left = np.tril(rises.T, -1).sum(axis=1)  # smaller entries before each one
+    right = np.triu(rises, 1).sum(axis=1)    # larger entries after each one
+    assert _ok(_count(runner, "1|2|3", r))["count"] == int((left * right).sum())
+    assert _ok(_count(runner, "2,1", r))["count"] == int((r[:-1] > r[1:]).sum())
+    # A window pattern keeps its bound: n - 1 position sets at n = 11, not at 12.
+    short = [int(v) for v in rng.permutation(11) + 1]
+    descents = sum(a > b for a, b in zip(short, short[1:]))
+    assert _ok(_count(runner, "2,1", short, cap)) == {"count": descents}
+    result = _count(runner, "2,1", row, cap)
+    assert result.exit_code == 1
+    assert json.loads(result.output)["error"]["type"] == "SizeLimitExceeded"
 
 
 def test_clt_counts_multi_block_patterns_past_the_position_listing(runner):

@@ -9,7 +9,7 @@ from vincstat.errors import (
     SizeLimitExceeded,
     TooFewSamples,
 )
-from vincstat import montecarlo
+from vincstat import montecarlo, positions
 from vincstat.montecarlo import (
     _CHUNK,
     _cumulants_of,
@@ -241,11 +241,14 @@ def test_distance_monotone_over_three_hosts():
     assert d[1600] <= d[400] + slack
 
 
-@pytest.mark.parametrize("text, n", [("3|1,2", 60), ("1|2", 45), ("2,1|3|4", 20)])
+@pytest.mark.parametrize(
+    "text, n", [("3|1,2", 60), ("1|2", 45), ("2,1|3|4", 20), ("2,1", 60)]
+)
 def test_sweep_path_reports_equal_chain_path_reports(monkeypatch, text, n):
     p = parse_pattern(text)
     sweep = run_experiment(p, n=n, m=1_500, seed=17, threads=1)
-    monkeypatch.setattr(montecarlo, "is_path_shaped", lambda pattern: False)
+    # The plan then lists a position matrix for the chain kernel.
+    monkeypatch.setattr(positions, "is_path_shaped", lambda pattern: False)
     assert run_experiment(p, n=n, m=1_500, seed=17, threads=1) == sweep
 
 
@@ -275,11 +278,14 @@ def test_chunk_cell_bound_leaves_reports_alone(monkeypatch, text):
 
 
 def test_sweep_path_size_guards(monkeypatch):
-    # The host size is bounded by the listing cap ...
+    # The n - k + 1 window starts are bounded by the listing cap ...
     monkeypatch.setenv("VINCSTAT_LISTING_CAP", "1000")
-    assert run_experiment(parse_pattern("3|1,2"), n=1_000, m=100, seed=0).n == 1_000
+    assert run_experiment(parse_pattern("3|1,2"), n=1_002, m=100, seed=0).n == 1_002
     with pytest.raises(SizeLimitExceeded, match="listing cap"):
-        run_experiment(parse_pattern("3|1,2"), n=1_001, m=100, seed=0)
+        run_experiment(parse_pattern("3|1,2"), n=1_003, m=100, seed=0)
+    assert run_experiment(parse_pattern("2,1"), n=1_001, m=100, seed=0).n == 1_001
+    with pytest.raises(SizeLimitExceeded, match="listing cap"):
+        run_experiment(parse_pattern("2,1"), n=1_002, m=100, seed=0)
     monkeypatch.delenv("VINCSTAT_LISTING_CAP")
     # ... and the int64 DP weights by 2^63 - 1; both refuse before sampling.
     wide = parse_pattern("1|2|3|4|5")

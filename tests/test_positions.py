@@ -170,7 +170,7 @@ def test_position_matrix_and_batch_counts():
     assert mat.shape == (position_count(n, p), 3)
     assert mat.min() == 0 and mat.max() == n - 1
     perms = sample_uniform_batch(n, seed=123, count=40)
-    batch = count_occurrences_batch(perms, p)
+    batch = count_occurrences_batch(perms, p, mat)
     scalar = [
         count_occurrences(Permutation(tuple(int(v) for v in row)), p) for row in perms
     ]
@@ -192,13 +192,12 @@ def test_batch_accepts_prebuilt_matrix_and_empty():
     p = parse_pattern("1|2|3|4")
     perms = sample_uniform_batch(6, seed=5, count=10)
     mat = position_matrix(6, p)
-    assert (
-        count_occurrences_batch(perms, p, posmat=mat)
-        == count_occurrences_batch(perms, p)
-    ).all()
-    # Host smaller than the pattern: every count is zero.
+    assert count_occurrences_batch(perms, p, posmat=mat).tolist() == [
+        _subset_count(Permutation(tuple(int(v) for v in row)), p) for row in perms
+    ]
+    # Host smaller than the pattern: no position sets, every count is zero.
     tiny = sample_uniform_batch(3, seed=5, count=4)
-    assert count_occurrences_batch(tiny, p).tolist() == [0, 0, 0, 0]
+    assert count_occurrences_batch(tiny, p, position_matrix(3, p)).tolist() == [0, 0, 0, 0]
 
 
 _SMALL_PATTERNS = [p for k in range(1, 5) for p in iter_patterns(k)]
@@ -211,13 +210,14 @@ def test_batch_kernel_matches_occurs_at(pattern, n, data):
     sets = list(enumerate_position_sets(n, pattern))
     hits = [occurs_at(sigma, pattern.order, I) for I in sets]
     row = np.array([sigma.values])
-    assert count_occurrences_batch(row, pattern)[0] == sum(hits)
+    mat = position_matrix(n, pattern)
+    assert count_occurrences_batch(row, pattern, mat)[0] == sum(hits)
     # Distinct reals with the same ranks, as in the pinned-uniform check.
     reals = sorted(data.draw(st.lists(
         st.floats(0, 1, allow_nan=False), min_size=n, max_size=n, unique=True
     )))
     real_row = np.array([[reals[v - 1] for v in sigma.values]])
-    assert count_occurrences_batch(real_row, pattern)[0] == sum(hits)
+    assert count_occurrences_batch(real_row, pattern, mat)[0] == sum(hits)
     # One position set at a time, as the suffix-covariance oracle asks.
     for I, hit in zip(sets, hits):
         one = count_occurrences_batch(row, pattern, np.array([I.positions]) - 1)
@@ -288,11 +288,9 @@ def _block_sets(pattern) -> list[set[int]]:
 
 
 def _path_shaped_by_definition(pattern) -> bool:
-    """At least two blocks, each an interval of values, every block wholly
-    below its successor or wholly above it, the same way throughout."""
+    """Every block an interval of values, every block wholly below its
+    successor or wholly above it, the same way throughout."""
     blocks = _block_sets(pattern)
-    if len(blocks) < 2:
-        return False
     if any(b != set(range(min(b), max(b) + 1)) for b in blocks):
         return False
     pairs = list(zip(blocks, blocks[1:]))
@@ -300,15 +298,16 @@ def _path_shaped_by_definition(pattern) -> bool:
 
 
 def test_path_shape_predicate_matches_its_definition():
-    for k, expected in ((1, 0), (2, 2), (3, 10), (4, 46), (5, 222)):
+    for k, expected in ((1, 1), (2, 4), (3, 16), (4, 70), (5, 342)):
         accepted = [p for p in iter_patterns(k) if is_path_shaped(p)]
         assert accepted == [p for p in iter_patterns(k) if _path_shaped_by_definition(p)]
         assert len(accepted) == expected
-    for text in ("3|1,2", "1|2", "2|1", "1|2|3", "3|2|1", "2,1|3|4", "4|3|1,2"):
+    # A single block is a value interval, so every window pattern qualifies.
+    for text in ("3|1,2", "1|2", "2|1", "1|2|3", "3|2|1", "2,1|3|4", "4|3|1,2", "2,1", "1,3,2"):
         assert is_path_shaped(parse_pattern(text)), text
     # Not path-shaped: values not monotone across blocks, blocks that are
-    # not value intervals, a single block.
-    for text in ("1|3|2", "2,4|1,3", "2,1", "1,3|2", "2|1|3"):
+    # not value intervals.
+    for text in ("1|3|2", "2,4|1,3", "1,3|2", "2|1|3"):
         assert not is_path_shaped(parse_pattern(text)), text
 
 
@@ -324,7 +323,8 @@ def test_sweep_equals_chain_kernel_on_every_path_shaped_pattern(monkeypatch):
         for p in _PATH_SHAPED:
             sweep = count_occurrences_sweep(perms, p)
             assert sweep.dtype == np.int64
-            assert sweep.tolist() == count_occurrences_batch(perms, p).tolist(), (p, n)
+            chain = count_occurrences_batch(perms, p, position_matrix(n, p))
+            assert sweep.tolist() == chain.tolist(), (p, n)
 
 
 @settings(max_examples=200, deadline=None)
@@ -349,7 +349,7 @@ def test_sweep_covers_hosts_beyond_the_listing_cap():
 
 def test_sweep_rejects_bad_shapes_rows_and_sizes(monkeypatch):
     rows = sample_uniform_batch(8, seed=1, count=3)
-    for text in ("2,1", "1|3|2"):
+    for text in ("1,3|2", "1|3|2"):
         with pytest.raises(PatternError):
             count_occurrences_sweep(rows, parse_pattern(text))
     # The values index a histogram: reals and out-of-range entries are refused.
@@ -361,6 +361,9 @@ def test_sweep_rejects_bad_shapes_rows_and_sizes(monkeypatch):
     assert position_count(100_000, wide) > 2**63 - 1
     with pytest.raises(SizeLimitExceeded, match="overflow"):
         count_occurrences_sweep(np.arange(1, 100_001)[None, :], wide)
-    monkeypatch.setenv("VINCSTAT_LISTING_CAP", "7")
+    # The listing cap bounds the n - k + 1 window starts: 6 for 3|1,2 at n = 8.
+    monkeypatch.setenv("VINCSTAT_LISTING_CAP", "6")
+    assert count_occurrences_sweep(rows, parse_pattern("3|1,2")).shape == (3,)
+    monkeypatch.setenv("VINCSTAT_LISTING_CAP", "5")
     with pytest.raises(SizeLimitExceeded, match="listing cap"):
         count_occurrences_sweep(rows, parse_pattern("3|1,2"))
