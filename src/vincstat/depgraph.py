@@ -16,7 +16,9 @@ of the gaps).  Everything else is an exact scan over all vertices, in
 chunks of a few thousand: each vertex's gaps are the differences of its
 shifted j-subset (the enumeration position_matrix uses), and the packing
 DP runs over the whole chunk at once as a product of one small matrix per
-run, looked up by the run's length.
+run, looked up by the run's length.  The edge count needs no scan for any
+shape: it is (N^2 - N - disjoint)/2, where the ordered disjoint pairs are
+binom(2j, j) * binom(n - 2k + 2j, 2j).
 """
 
 from __future__ import annotations
@@ -104,21 +106,21 @@ def graph_summary(n: int, pattern: VincularPattern) -> DependencyGraphSummary:
     if n < k:
         raise DegenerateInput(f"no admissible sets for n={n} < k={k}")
     N = position_count(n, pattern)
+    # An ordered pair of disjoint vertices is one interleaving of the two
+    # vertices' j blocks each, then one placement of those 2j ordered
+    # contiguous blocks (total size 2k) into the host.
+    spare = n - 2 * k + 2 * j
+    disjoint = comb(2 * j, j) * comb(spare, 2 * j) if spare >= 0 else 0
+    edges = (N * N - N - disjoint) // 2
 
     if j == 1:
-        # Sliding windows: windows at distance d meet iff d < k, and
-        # N - d pairs lie at each distance d.
-        D = min(N, 2 * k - 1)
-        reach = min(k - 1, N - 1)
-        edges = reach * N - reach * (reach + 1) // 2
-        return DependencyGraphSummary(n, k, j, N, D, edges)
+        # Sliding windows: windows at distance d meet iff d < k.
+        return DependencyGraphSummary(n, k, j, N, min(N, 2 * k - 1), edges)
 
     if j == k:
         # Classical pattern: avoid(I) = binom(n-k, k) for every I, so the
-        # graph is regular and everything is closed-form.
-        meets = N - comb(n - k, k)
-        edges = N * (meets - 1) // 2
-        return DependencyGraphSummary(n, k, j, N, meets, edges)
+        # graph is regular.
+        return DependencyGraphSummary(n, k, j, N, N - comb(n - k, k), edges)
 
     cap = config.vertex_cap()
     if N > cap:
@@ -129,18 +131,12 @@ def graph_summary(n: int, pattern: VincularPattern) -> DependencyGraphSummary:
     free = n - k
     table = _packing_table(free, pattern.blocks)
     min_avoid = N
-    avoid_total = 0
     for subsets in _subset_rows(n, pattern, _SCAN_CHUNK):
         # The free runs before, between and after the blocks of each
         # vertex: the weak compositions of n-k into j+1 parts.
         gaps = np.diff(subsets, prepend=-1, append=free + j) - 1
-        avoid = _packings(gaps, table)
-        min_avoid = min(min_avoid, int(avoid.min()))
-        # avoid <= N, so a chunk's int64 sum stays below _SCAN_CHUNK * N.
-        avoid_total += int(avoid.sum())
-    D = N - min_avoid
-    edges = (N * N - avoid_total - N) // 2
-    return DependencyGraphSummary(n, k, j, N, D, edges)
+        min_avoid = min(min_avoid, int(_packings(gaps, table).min()))
+    return DependencyGraphSummary(n, k, j, N, N - min_avoid, edges)
 
 
 def _finite_bound(name: str, compute) -> float:

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from math import erfc, sqrt
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import config
 from .errors import DegenerateInput, EmptySample, PatternTooSmall, TooFewSamples
@@ -36,10 +36,19 @@ __all__ = [
     "fit_rate",
 ]
 
-_CHUNK = 4096  # samples per generation/counting chunk; fixed so results
-               # never depend on worker count
+_CHUNK = 4096  # samples per generation/counting chunk; rows are seeded by
+               # their index, so this only bounds memory and sets the
+               # parallel grain
 _CHUNK_CELLS = 2**23  # fewer samples per chunk once n > 2048, so that a
                       # chunk of rows stays within this many cells
+
+
+def _normal_cdf(xs: np.ndarray) -> np.ndarray:
+    """Standard normal distribution function Phi(x) = erfc(-x/sqrt(2))/2
+    at each entry of xs.  erfc keeps the lower tail to full relative
+    precision, where (1 + erf(x/sqrt(2)))/2 would cancel."""
+    root2 = sqrt(2)
+    return np.array([erfc(-x / root2) / 2 for x in xs.tolist()], dtype=np.float64)
 
 
 def empirical_kolmogorov(xs: np.ndarray) -> float:
@@ -50,7 +59,7 @@ def empirical_kolmogorov(xs: np.ndarray) -> float:
     if m == 0:
         raise EmptySample("empirical distance of an empty sample")
     sorted_xs = np.sort(xs)
-    cdf = ndtr(sorted_xs)
+    cdf = _normal_cdf(sorted_xs)
     upper = np.arange(1, m + 1) / m - cdf
     lower = cdf - np.arange(0, m) / m
     return float(max(upper.max(), lower.max()))
@@ -140,7 +149,7 @@ def run_experiment(
     planned once for (n, pattern) by positions.plan_count, which refuses
     a host beyond its limits before any sampling, and every chunk is
     counted by positions.count_rows.  Output is identical for every
-    thread count.
+    thread count; at most one worker process runs per chunk.
     """
     if pattern.size < 2:
         raise PatternTooSmall("the normal limit concerns patterns of size k >= 2")
@@ -155,10 +164,13 @@ def run_experiment(
         (pattern, n, seed, start, min(chunk, m - start), plan)
         for start in range(0, m, chunk)
     ]
-    if threads and threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    # With the fork start method every worker is forked at the first
+    # submit, whether or not a task is left for it.
+    workers = min(threads or 1, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             # One batch per worker, so even a few chunks are split.
-            batch = -(-len(tasks) // threads)
+            batch = -(-len(tasks) // workers)
             pieces = list(pool.map(_count_chunk, tasks, chunksize=batch))
     else:
         pieces = [_count_chunk(t) for t in tasks]

@@ -1,11 +1,15 @@
 import json
+import subprocess
+import sys
 from itertools import combinations
 from math import sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import vincstat
 from vincstat.cli import CSV_COLUMNS, main
 from vincstat.depgraph import graph_summary, stein_bound
 from vincstat.moments import exact_variance_at
@@ -365,3 +369,29 @@ def test_seed_threads_and_count_ranges_are_usage_errors(runner):
     assert runner.invoke(main, clt + ["--threads", "-4"]).exit_code == 2
     assert runner.invoke(main, clt + ["--threads", "0"]).exit_code == 2
     assert runner.invoke(main, sample + ["--count", "-3"]).exit_code == 2
+
+
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+import vincstat, vincstat.cli
+from click.testing import CliRunner
+for args in (
+    ["clt", "--pattern", "2,1", "--n", "20", "--samples", "200", "--seed", "1"],
+    ["oracle", "--pattern", "2,1", "--n", "5"],
+    ["bounds", "--kind", "stein", "--pattern", "3|1,2", "--n", "40"],
+):
+    result = CliRunner().invoke(vincstat.cli.main, args)
+    assert result.exit_code == 0, (args, result.output)
+"""
+
+
+def test_package_and_cli_run_without_scipy():
+    # scipy is a test dependency only; the package must import and run
+    # without it.
+    src = str(Path(vincstat.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n" + _WITHOUT_SCIPY],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

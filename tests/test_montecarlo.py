@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from vincstat.errors import (
     DegenerateInput,
@@ -13,6 +13,7 @@ from vincstat import montecarlo, positions
 from vincstat.montecarlo import (
     _CHUNK,
     _cumulants_of,
+    _normal_cdf,
     empirical_kolmogorov,
     fit_rate,
     run_experiment,
@@ -40,6 +41,24 @@ def test_kolmogorov_distance_detects_shift():
     xs = gen.standard_normal(50_000)
     assert empirical_kolmogorov(xs) < 0.01
     assert empirical_kolmogorov(xs + 2.0) > 0.4
+
+
+def test_normal_cdf_matches_scipy_ndtr():
+    # libm's erfc and cephes' ndtr agree to about one ulp of 1.
+    grid = np.linspace(-40.0, 40.0, 100_001)
+    draws = substream(14, 0, NORMAL_STREAM).standard_normal(100_000)
+    for xs in (grid, draws):
+        np.testing.assert_allclose(_normal_cdf(xs), ndtr(xs), rtol=0, atol=2.3e-16)
+    # The lower tail keeps its relative precision down to the subnormals
+    # (Phi(-37) is about 6e-300) instead of cancelling to 0; the rounding
+    # of x/sqrt(2) alone moves Phi(x) by a relative x^2 ulp there.
+    tail = np.linspace(-37.0, -1.0, 10_001)
+    np.testing.assert_allclose(_normal_cdf(tail), ndtr(tail), rtol=1e-12)
+    xs = np.sort(draws)
+    m = xs.size
+    cdf = ndtr(xs)
+    reference = max((np.arange(1, m + 1) / m - cdf).max(), (cdf - np.arange(m) / m).max())
+    assert abs(empirical_kolmogorov(draws) - reference) <= 1e-15
 
 
 def test_kolmogorov_empty_sample():
@@ -135,6 +154,14 @@ def test_run_experiment_gives_every_worker_a_share(monkeypatch):
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
     run_experiment(parse_pattern("2,1"), n=6, m=3 * _CHUNK + 1, seed=3, threads=3)
     assert seen == {"workers": 3, "chunksize": 2}
+    # No more workers than chunks: eight threads over two chunks start
+    # two workers, and a single chunk runs in process with no pool.
+    seen.clear()
+    run_experiment(parse_pattern("2,1"), n=6, m=_CHUNK + 1, seed=3, threads=8)
+    assert seen == {"workers": 2, "chunksize": 1}
+    seen.clear()
+    run_experiment(parse_pattern("2,1"), n=6, m=100, seed=3, threads=4)
+    assert seen == {}
 
 
 def test_run_experiment_standardization_is_exact():
