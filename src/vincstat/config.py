@@ -23,7 +23,7 @@ DEFAULT_ORACLE_MAX_N = 9
 # Cap on materialized position listings / position matrices.
 DEFAULT_LISTING_CAP = 10**6
 
-# Cap on dependency-graph vertex counts for the gap-composition scan of
+# Cap on dependency-graph vertex counts for the gap-composition DP of
 # patterns with neither a single block nor all blocks of size one (those
 # two shapes have closed forms).
 DEFAULT_VERTEX_CAP = 10**7
@@ -63,5 +63,5 @@ def listing_cap() -> int:
 
 
 def vertex_cap() -> int:
-    """Largest dependency-graph vertex count for the gap-composition scan."""
+    """Largest dependency-graph vertex count for the gap-composition DP."""
     return _env_int("VINCSTAT_VERTEX_CAP", DEFAULT_VERTEX_CAP)

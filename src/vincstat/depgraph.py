@@ -12,12 +12,14 @@ runs before, between, and after its blocks — and the number of sets
 order, into those runs.  So deg(I) = N - avoid(gaps(I)) - 1.  Two shapes
 admit closed forms: a single block (j=1, sliding windows) and all blocks
 of size one (classical patterns, where avoid = binom(n-k, k) regardless
-of the gaps).  Everything else is an exact scan over all vertices, in
-chunks of a few thousand: each vertex's gaps are the differences of its
-shifted j-subset (the enumeration position_matrix uses), and the packing
-DP runs over the whole chunk at once as a product of one small matrix per
-run, looked up by the run's length.  The edge count needs no scan for any
-shape: it is (N^2 - N - disjoint)/2, where the ordered disjoint pairs are
+of the gaps).  Everything else takes an exact minimum over all gap
+compositions without listing a vertex: the packing DP is a product of
+one small matrix per run, looked up by the run's length, so the DP rows
+after all but the last two runs are built level by level, grouped by
+their total length s, and the last two runs, which fill the n-k-s cells
+left, fold into one vector per split.  Each vertex then costs one dot
+product.  The edge count needs no DP for any shape: it is
+(N^2 - N - disjoint)/2, where the ordered disjoint pairs are
 binom(2j, j) * binom(n - 2k + 2j, 2j).
 """
 
@@ -39,7 +41,7 @@ from .errors import (
     SizeLimitExceeded,
 )
 from .patterns import VincularPattern
-from .positions import _subset_rows, position_count
+from .positions import position_count
 
 __all__ = [
     "DependencyGraphSummary",
@@ -49,10 +51,9 @@ __all__ = [
     "saulis_bound",
 ]
 
-# Vertices per step of the gap-composition scan: large enough that numpy
-# overhead is amortized, small enough that the scan's arrays stay well
-# under a megabyte.
-_SCAN_CHUNK = 2048
+# Int64 cells per DP level (4 MB): a larger level is built and folded in
+# slices of rows.  Smaller slices measured no slower at the vertex cap.
+_LEVEL_CELLS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,15 @@ def _packing_table(free: int, blocks: tuple[int, ...]) -> np.ndarray:
     """table[L, placed, upto] = binom(L - size + count, count): the ways to
     place blocks placed+1 .. upto (count of them, total size `size`),
     contiguous and in order, into one free run of length L <= free.  Zero
-    where upto < placed or the blocks do not fit."""
+    where upto < placed or the blocks do not fit.
+
+    So the sets avoiding a vertex with free runs g_0 .. g_j number
+    e_0' table[g_0] table[g_1] ... table[g_j] e_j: a left-to-right DP
+    over the runs.  Every DP entry, and every entry of a product of
+    tables, counts placements of some blocks into at most the n-k free
+    cells, so it is at most binom(n-k+j, j) = N, and int64 is exact for
+    any N under the vertex cap.
+    """
     j = len(blocks)
     prefix = [0, *accumulate(blocks)]
     table = np.zeros((free + 1, j + 1, j + 1), dtype=np.int64)
@@ -82,21 +91,56 @@ def _packing_table(free: int, blocks: tuple[int, ...]) -> np.ndarray:
     return table
 
 
-def _packings(gaps: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Number of ways to place the ordered blocks disjointly into the
-    ordered free runs of each row of `gaps` (rows, j+1), keeping each block
-    contiguous: a left-to-right DP over the runs, for all rows at once,
-    whose step for a run of length L is the matrix table[L].
+def _next_run(level: np.ndarray, sums: np.ndarray, table: np.ndarray):
+    """The DP rows after one more run: each row of `level`, whose runs so
+    far total `sums` (ascending), times table[g] for every length g that
+    still fits.  One matrix product per g; the new rows are ordered by
+    their total s, and within it by the old row, so the products land at
+    their old index plus the start of their total."""
+    free = len(table) - 1
+    # Rows with total <= s, which is also the new level's rows with total s.
+    counts = np.cumsum(np.bincount(sums, minlength=free + 1))
+    starts = np.cumsum(counts) - counts
+    grown = np.empty((int(counts.sum()), level.shape[1]), dtype=np.int64)
+    for g in range(free + 1 - int(sums[0])):
+        m = int(counts[free - g])
+        grown[np.arange(m) + starts[sums[:m] + g]] = level[:m] @ table[g]
+    return grown, np.repeat(np.arange(free + 1), counts)
 
-    Every DP entry counts placements of some leading blocks into the n-k
-    free cells, and so does every table entry; either is at most
-    binom(n-k+j, j) = N, so int64 is exact for any N a scan can reach.
-    """
-    dp = np.zeros((len(gaps), 1, table.shape[1]), dtype=np.int64)
-    dp[:, 0, 0] = 1
-    for length in gaps.T:
-        dp = dp @ table[length]
-    return dp[:, 0, -1]
+
+def _fold_last_two(level: np.ndarray, sums: np.ndarray, table: np.ndarray) -> int:
+    """Smallest avoid count over all ways to end the rows of `level` with
+    two runs filling the free cells left.  For a total s and r = n-k-s,
+    the last two runs (g, r-g) act as the vector table[g] @ table[r-g][:, j],
+    so each vertex costs one dot product."""
+    free = len(table) - 1
+    last = table[::-1, :, -1].copy()  # last[free - L] = table[L][:, j]
+    totals, firsts = np.unique(sums, return_index=True)
+    bounds = [*firsts.tolist(), len(sums)]
+    lows = []
+    for s, lo, hi in zip(totals.tolist(), bounds, bounds[1:]):
+        # ends[g] = table[g] @ table[r-g][:, j] for each split of r = free-s.
+        ends = (table[:free - s + 1] @ last[s:, :, None])[..., 0]
+        lows.append(int((ends @ level[lo:hi].T).min()))
+    return min(lows)
+
+
+def _min_avoid(level: np.ndarray, sums: np.ndarray, table: np.ndarray, runs: int) -> int:
+    """Smallest avoid count over the vertices whose leading runs gave the
+    DP rows `level` (totals `sums`, ascending), with `runs` more runs
+    before the last two.  A next level over _LEVEL_CELLS is built in
+    slices of consecutive rows, which keep their totals ascending."""
+    if runs == 0:
+        return _fold_last_two(level, sums, table)
+    free = len(table) - 1
+    grown = np.cumsum(free + 1 - sums)
+    slices = -(-int(grown[-1]) * level.shape[1] // _LEVEL_CELLS)
+    cuts = np.searchsorted(grown, np.arange(1, slices) * (grown[-1] / slices)).tolist()
+    return min(
+        _min_avoid(*_next_run(level[lo:hi], sums[lo:hi], table), table, runs - 1)
+        for lo, hi in zip([0, *cuts], [*cuts, len(level)])
+        if hi > lo
+    )
 
 
 def graph_summary(n: int, pattern: VincularPattern) -> DependencyGraphSummary:
@@ -128,14 +172,11 @@ def graph_summary(n: int, pattern: VincularPattern) -> DependencyGraphSummary:
             f"{N} vertices exceed the scan cap {cap} and pattern "
             f"{pattern} has no closed-form degree"
         )
-    free = n - k
-    table = _packing_table(free, pattern.blocks)
-    min_avoid = N
-    for subsets in _subset_rows(n, pattern, _SCAN_CHUNK):
-        # The free runs before, between and after the blocks of each
-        # vertex: the weak compositions of n-k into j+1 parts.
-        gaps = np.diff(subsets, prepend=-1, append=free + j) - 1
-        min_avoid = min(min_avoid, int(_packings(gaps, table).min()))
+    # A vertex's free runs before, between and after its blocks are a
+    # weak composition of n-k into j+1 parts.  The first run's DP rows are
+    # table[g_0][0], one per length; j-2 more runs follow, then the last two.
+    table = _packing_table(n - k, pattern.blocks)
+    min_avoid = _min_avoid(table[:, 0, :], np.arange(n - k + 1), table, j - 2)
     return DependencyGraphSummary(n, k, j, N, N - min_avoid, edges)
 
 

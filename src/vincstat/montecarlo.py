@@ -13,7 +13,6 @@ should stop increasing n once d_K approaches that floor.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import erfc, sqrt
 
@@ -168,6 +167,9 @@ def run_experiment(
     # submit, whether or not a task is left for it.
     workers = min(threads or 1, len(tasks))
     if workers > 1:
+        # Imported here: loading multiprocessing slows every other start.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             # One batch per worker, so even a few chunks are split.
             batch = -(-len(tasks) // workers)

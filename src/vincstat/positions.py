@@ -24,7 +24,7 @@ cap, and is the reference the sweep is tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
+from itertools import chain, combinations
 from math import comb, isqrt
 from typing import Iterator
 
@@ -99,18 +99,6 @@ def position_count(n: int, pattern: VincularPattern) -> int:
     j = pattern.block_count
     m = n - pattern.size + j
     return comb(m, j) if m >= 0 else 0
-
-
-def _subset_rows(n: int, pattern: VincularPattern, chunk: int) -> Iterator[np.ndarray]:
-    """Yield the shifted j-subsets of the admissible position sets — the
-    j-subsets of range(n-k+j), 0-based and in lexicographic order — as
-    int64 (rows, j) arrays of at most `chunk` rows each."""
-    j = pattern.block_count
-    total = position_count(n, pattern)
-    flat = chain.from_iterable(combinations(range(n - pattern.size + j), j))
-    for lo in range(0, total, chunk):
-        size = min(chunk, total - lo) * j
-        yield np.fromiter(islice(flat, size), dtype=np.int64, count=size).reshape(-1, j)
 
 
 def enumerate_position_sets(n: int, pattern: VincularPattern) -> Iterator[PositionSet]:
@@ -202,8 +190,8 @@ def position_matrix(n: int, pattern: VincularPattern) -> np.ndarray:
     # block starts, and each block spans start .. start + b - 1.
     blocks = pattern.blocks
     j = pattern.block_count
-    subsets = next(_subset_rows(n, pattern, max(count, 1)),
-                   np.empty((0, j), dtype=np.int64))
+    flat = chain.from_iterable(combinations(range(n - pattern.size + j), j))
+    subsets = np.fromiter(flat, dtype=np.int64, count=count * j).reshape(count, j)
     starts = subsets + np.array(_block_start_offsets(blocks), dtype=np.int64)
     within = np.concatenate([np.arange(b) for b in blocks])
     return starts[:, np.repeat(np.arange(j), blocks)] + within

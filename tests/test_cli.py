@@ -395,3 +395,16 @@ def test_package_and_cli_run_without_scipy():
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # Only clt with --threads > 1 starts a process pool, so importing the
+    # CLI must not load concurrent.futures.process and multiprocessing.
+    src = str(Path(vincstat.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r})\n"
+            "import vincstat.cli\n"
+            "print('concurrent.futures.process' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

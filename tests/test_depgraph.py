@@ -1,4 +1,6 @@
 import time
+import tracemalloc
+from collections import Counter
 from itertools import combinations
 from math import comb
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vincstat import depgraph
+from vincstat.config import DEFAULT_VERTEX_CAP
 from vincstat.errors import (
     BadOrder,
     BoundOverflow,
@@ -81,15 +84,87 @@ def test_scan_matches_brute_force_property(case):
     assert (s.N, s.D, s.edge_count) == _brute_summary(n, p), (p, n)
 
 
-def test_scan_is_independent_of_chunking(monkeypatch):
-    # Chunks of 5 vertices put most chunk boundaries mid-way through a run
-    # of equal leading subset elements.
-    cases = [("3|1,2", 17), ("2,1|3", 16), ("4|1,3|2", 15), ("2,1|3|4", 20)]
-    whole = [graph_summary(n, parse_pattern(t)) for t, n in cases]
-    monkeypatch.setattr(depgraph, "_SCAN_CHUNK", 5)
-    assert [graph_summary(n, parse_pattern(t)) for t, n in cases] == whole
-    monkeypatch.setattr(depgraph, "_SCAN_CHUNK", 1)
-    assert [graph_summary(n, parse_pattern(t)) for t, n in cases[:2]] == whole[:2]
+def _weak_compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _weak_compositions(total - first, parts - 1):
+            yield (first, *rest)
+
+
+def _reference_min_avoid(n, pattern):
+    """The smallest e_0' T[g_0] ... T[g_j] e_j over every weak composition
+    (g_0..g_j) of n-k, where T[L][a][b] = binom(L - size + b - a, b - a)
+    places blocks a+1..b (total size `size`) into a free run of length L."""
+    blocks, j = pattern.blocks, pattern.block_count
+    free = n - pattern.size
+
+    def entry(length, a, b):
+        size = sum(blocks[a:b])
+        return comb(length - size + b - a, b - a) if b >= a and length >= size else 0
+
+    tables = [[[entry(L, a, b) for b in range(j + 1)] for a in range(j + 1)]
+              for L in range(free + 1)]
+    best = None
+    for gaps in _weak_compositions(free, j + 1):
+        row = [1] + [0] * j
+        for g in gaps:
+            row = [sum(row[a] * tables[g][a][b] for a in range(j + 1)) for b in range(j + 1)]
+        best = row[j] if best is None else min(best, row[j])
+    return best
+
+
+def test_degree_matches_composition_reference(monkeypatch):
+    # j = 2..5 with n - k up to 20; a level budget of 7 cells also builds
+    # every DP level in slices of one or two rows.  Either way each row
+    # of the last level, one per weak composition of at most n-k into
+    # j-1 runs, is folded exactly once.
+    cases = [("3|1,2", 23), ("2,1|3", 23), ("1|3,2", 20), ("4|1,3|2", 24),
+             ("2,1|3|4", 24), ("2|1,4,3|5", 20), ("1,2|3|4|5", 19),
+             ("3,1|2|5|4", 16), ("1,2|3|4|5|6", 16)]
+    folded = Counter()
+    fold = depgraph._fold_last_two
+
+    def counting_fold(level, sums, table):
+        folded.update(sums.tolist())
+        return fold(level, sums, table)
+
+    monkeypatch.setattr(depgraph, "_fold_last_two", counting_fold)
+    for cells in (depgraph._LEVEL_CELLS, 7):
+        monkeypatch.setattr(depgraph, "_LEVEL_CELLS", cells)
+        for text, n in cases:
+            p = parse_pattern(text)
+            j, free = p.block_count, n - p.size
+            assert 2 <= j < p.size and free <= 20
+            folded.clear()
+            s = graph_summary(n, p)
+            assert s.D == s.N - _reference_min_avoid(n, p), (text, n, cells)
+            assert folded == {t: comb(t + j - 2, j - 2) for t in range(free + 1)}
+
+
+@pytest.mark.parametrize("text, n, D", [
+    ("3|1,2", 4473, 22345),
+    ("2,1|3|4", 393, 525560),
+    ("1,2|3|4|5", 122, 2284590),
+    ("1,2|3|4|5|6", 68, 5837832),
+])
+def test_degree_at_the_vertex_cap_pinned(text, n, D):
+    # 8.5M to 10M vertices, under the default cap, at j = 2..5: fast, and
+    # in little memory.
+    p = parse_pattern(text)
+    assert 8 * 10**6 < position_count(n, p) <= DEFAULT_VERTEX_CAP
+    start = time.perf_counter()
+    assert graph_summary(n, p).D == D
+    elapsed = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        graph_summary(n, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 2.0, elapsed
+    assert peak <= 64 << 20, peak
 
 
 def test_large_scan_pinned():

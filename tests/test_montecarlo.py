@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
@@ -151,7 +153,7 @@ def test_run_experiment_gives_every_worker_a_share(monkeypatch):
             seen["chunksize"] = chunksize
             return map(fn, tasks)
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     run_experiment(parse_pattern("2,1"), n=6, m=3 * _CHUNK + 1, seed=3, threads=3)
     assert seen == {"workers": 3, "chunksize": 2}
     # No more workers than chunks: eight threads over two chunks start
