@@ -22,6 +22,7 @@ from fractions import Fraction
 import click
 from click.core import ParameterSource
 
+from . import config
 from .depgraph import cumulant_bound, graph_summary, saulis_bound, stein_bound
 from .errors import VincstatError
 from .moments import exact_variance_at, expectation, variance_polynomial
@@ -76,7 +77,7 @@ def _parse_perm(text: str) -> Permutation:
 @click.group(cls=_ErrorBoundary)
 @click.option(
     "--unsafe-size", is_flag=True,
-    help="Raise the exact-moment limit to k=6 (up to 4033 overlap classes); "
+    help=f"Raise the exact-moment limit to k={config.UNSAFE_MAX_EXACT_K}; "
          "never lowers a larger VINCSTAT_MAX_K.",
 )
 @click.pass_context
@@ -231,8 +232,9 @@ def bounds(ctx, kind, pattern_text, n, big_n, big_d, bound_b, sigma2, r, gamma, 
 def clt(ctx, pattern_text, n, samples, seed, threads, fmt):
     """Sample the standardized statistic; report d_K and cumulants."""
     pattern = parse_pattern(pattern_text)
-    if threads is None:
-        threads = os.cpu_count() or 1
+    if threads is None:  # the CPUs this process may run on
+        affinity = getattr(os, "sched_getaffinity", None)
+        threads = len(affinity(0)) if affinity else os.cpu_count() or 1
     rep = run_experiment(pattern, n, samples, seed, threads=threads,
                          unsafe=ctx.obj["unsafe"])
     c = rep.cumulants

@@ -18,8 +18,7 @@ from math import erfc, sqrt
 
 import numpy as np
 
-from . import config
-from .errors import DegenerateInput, EmptySample, PatternTooSmall, TooFewSamples
+from .errors import DegenerateInput, EmptySample, PatternTooSmall, SizeLimitExceeded, TooFewSamples
 from .moments import exact_variance_at, expectation
 from .patterns import VincularPattern, format_pattern
 from .positions import count_rows, plan_count
@@ -142,13 +141,13 @@ def run_experiment(
     """Draw m permutations of size n, count pattern occurrences,
     standardize, and summarize.
 
-    Standardization uses the exact mean and variance when the pattern is
-    within the exact-moment limit (raised to at least k=6 by unsafe),
-    otherwise sample moments (recorded in the report).  The counter is
-    planned once for (n, pattern) by positions.plan_count, which refuses
-    a host beyond its limits before any sampling, and every chunk is
-    counted by positions.count_rows.  Output is identical for every
-    thread count; at most one worker process runs per chunk.
+    Before any sampling, positions.plan_count plans the counter once for
+    (n, pattern), refusing a host beyond its limits, and the exact layer
+    is asked for the variance.  Where exact_variance_at refuses the
+    pattern as beyond the exact-moment limit (raised to at least k=6 by
+    unsafe), sample moments standardize instead, as the report records.
+    Every chunk is counted by positions.count_rows.  Output is identical
+    for every thread count; at most one worker process runs per chunk.
     """
     if pattern.size < 2:
         raise PatternTooSmall("the normal limit concerns patterns of size k >= 2")
@@ -158,6 +157,12 @@ def run_experiment(
         raise DegenerateInput(f"need at least 100 samples, got {m}")
 
     plan = plan_count(n, pattern)
+    try:
+        var_q = exact_variance_at(pattern, n, unsafe)
+    except SizeLimitExceeded:
+        var_q = None  # beyond the exact-moment limit
+    if var_q is not None and var_q <= 0:
+        raise DegenerateInput(f"exact variance is {var_q} at n={n}; nothing to standardize")
     chunk = max(1, min(_CHUNK, _CHUNK_CELLS // n))
     tasks = [
         (pattern, n, seed, start, min(chunk, m - start), plan)
@@ -178,12 +183,8 @@ def run_experiment(
         pieces = [_count_chunk(t) for t in tasks]
     counts = np.concatenate(pieces).astype(np.float64)
 
-    use_exact = pattern.size <= config.max_exact_k(unsafe)
-    if use_exact:
-        mean_q, var_q = expectation(pattern, n), exact_variance_at(pattern, n, unsafe)
-        mean, var = float(mean_q), float(var_q)
-        if var <= 0:
-            raise DegenerateInput(f"exact variance is {var_q} at n={n}; nothing to standardize")
+    if var_q is not None:
+        mean, var = float(expectation(pattern, n)), float(var_q)
     else:
         mean = float(counts.mean())
         var = float(counts.var())
@@ -198,7 +199,7 @@ def run_experiment(
         seed=seed,
         d_K=empirical_kolmogorov(xs),
         cumulants=sample_cumulants(xs),
-        used_exact_moments=use_exact,
+        used_exact_moments=var_q is not None,
     )
 
 

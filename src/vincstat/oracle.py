@@ -111,14 +111,10 @@ def brute_force_distribution(pattern: VincularPattern, n: int) -> dict[int, Frac
 
 
 def brute_force_moments(pattern: VincularPattern, n: int) -> tuple[Fraction, Fraction]:
-    """Exact (mean, variance) by full enumeration."""
-    _check_oracle_size(n)
-    counts = _all_counts(pattern, n)
-    total = factorial(n)
-    s1 = int(counts.sum())
-    s2 = int((counts.astype(np.int64) ** 2).sum())
-    mean = Fraction(s1, total)
-    return mean, Fraction(s2, total) - mean * mean
+    """Exact (mean, variance) of the brute_force_distribution."""
+    dist = brute_force_distribution(pattern, n)
+    mean = sum((v * p for v, p in dist.items()), Fraction(0))
+    return mean, sum((v * v * p for v, p in dist.items()), Fraction(0)) - mean * mean
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations as _all_perms
+from itertools import accumulate, permutations as _all_perms
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -128,15 +128,25 @@ def composition_to_adjacencies(blocks: Sequence[int]) -> frozenset[int]:
 
 @dataclass(frozen=True)
 class VincularPattern:
-    """A pattern permutation together with its adjacency constraints."""
+    """A pattern permutation together with its adjacency constraints, and
+    the two fields derived once from them: blocks, the block sizes, and
+    block_values, each block's pattern values in position order.
+
+    >>> parse_pattern("2,1|3|4").block_values
+    ((2, 1), (3,), (4,))
+    """
 
     order: Permutation
     adjacencies: frozenset[int]
     blocks: tuple[int, ...] = field(init=False, compare=False)
+    block_values: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         blocks = adjacencies_to_composition(self.adjacencies, self.order.size)
+        values = self.order.values
+        block_values = tuple(values[e - b : e] for b, e in zip(blocks, accumulate(blocks)))
         object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "block_values", block_values)
 
     @property
     def size(self) -> int:
@@ -188,12 +198,7 @@ def format_pattern(pattern: VincularPattern) -> str:
     >>> format_pattern(parse_pattern("3 | 1 , 2"))
     '3|1,2'
     """
-    pieces = []
-    pos = 0
-    for b in pattern.blocks:
-        pieces.append(",".join(str(v) for v in pattern.order.values[pos : pos + b]))
-        pos += b
-    return "|".join(pieces)
+    return "|".join(",".join(map(str, block)) for block in pattern.block_values)
 
 
 def reduce_sequence(xs: Sequence[float]) -> Permutation:

@@ -241,14 +241,6 @@ _INT64_MAX = 2**63 - 1
 _SWEEP_CELLS = 2**16
 
 
-def _block_values(pattern: VincularPattern) -> list[tuple[int, ...]]:
-    values, out, pos = pattern.order.values, [], 0
-    for b in pattern.blocks:
-        out.append(values[pos : pos + b])
-        pos += b
-    return out
-
-
 def is_path_shaped(pattern: VincularPattern) -> bool:
     """Whether count_occurrences_sweep covers the pattern: each block's
     values an interval of 1..k, and the intervals monotone in position
@@ -257,7 +249,7 @@ def is_path_shaped(pattern: VincularPattern) -> bool:
     between neighbouring blocks: the largest entry of one below the
     smallest of the next."""
     lows = []
-    for block in _block_values(pattern):
+    for block in pattern.block_values:
         if max(block) - min(block) + 1 != len(block):
             return False
         lows.append(min(block))
@@ -360,7 +352,7 @@ def count_occurrences_sweep(perms: np.ndarray, pattern: VincularPattern) -> np.n
     # Each block's offsets in increasing swept value: first argmin, last argmax.
     chains = [
         sorted(range(len(block)), key=lambda o: -block[o] if falling else block[o])
-        for block in _block_values(pattern)
+        for block in pattern.block_values
     ]
     step = max(1, _SWEEP_CELLS // (n + 1))
     for lo in range(0, m, step):

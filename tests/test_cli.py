@@ -1,4 +1,6 @@
+import concurrent.futures
 import json
+import os
 import subprocess
 import sys
 from itertools import combinations
@@ -13,6 +15,7 @@ import vincstat
 from vincstat.cli import CSV_COLUMNS, main
 from vincstat.depgraph import graph_summary, stein_bound
 from vincstat.moments import exact_variance_at
+from vincstat.montecarlo import _CHUNK
 from vincstat.patterns import parse_pattern
 from vincstat.sampling import sample_by_reduction, sample_uniform
 
@@ -176,16 +179,46 @@ def test_exit_code_one_with_structured_error(runner):
 
 
 def test_malformed_limit_is_a_json_error(runner):
-    # --unsafe-size still parses the limit instead of ignoring it.
+    # --unsafe-size still parses the limit instead of ignoring it, and
+    # clt reports it as moments does.
     for flag in ([], ["--unsafe-size"]):
-        result = runner.invoke(
-            main, [*flag, "moments", "--pattern", "2,1", "--n", "5"],
-            env={"VINCSTAT_MAX_K": "abc"},
-        )
-        assert result.exit_code == 1, flag
-        err = json.loads(result.output)["error"]
-        assert err["type"] == "MalformedLimit"
-        assert "VINCSTAT_MAX_K" in err["message"] and "'abc'" in err["message"]
+        for args in (["moments", "--pattern", "2,1", "--n", "5"],
+                     ["clt", "--pattern", "2,1", "--n", "5", "--samples", "100"]):
+            result = runner.invoke(main, [*flag, *args], env={"VINCSTAT_MAX_K": "abc"})
+            assert result.exit_code == 1, (flag, args)
+            err = json.loads(result.output)["error"]
+            assert err["type"] == "MalformedLimit"
+            assert "VINCSTAT_MAX_K" in err["message"] and "'abc'" in err["message"]
+
+
+def test_clt_default_threads_follow_the_affinity_mask(runner, monkeypatch):
+    # Eight CPUs in the machine, one in this process's affinity mask: a
+    # clt over two chunks without --threads starts no worker pool.
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    clt = ["clt", "--pattern", "2,1", "--n", "6", "--samples", str(_CHUNK + 1), "--seed", "3"]
+    out = _ok(runner.invoke(main, clt))
+    assert started == []
+    # Where the OS reports no affinity mask, the CPU count is used.
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _ok(runner.invoke(main, clt)) == out
+    assert started == [2]
 
 
 def test_negative_host_size_is_a_usage_error(runner):

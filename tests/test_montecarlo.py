@@ -7,6 +7,7 @@ from scipy.special import ndtr, ndtri
 from vincstat.errors import (
     DegenerateInput,
     EmptySample,
+    MalformedLimit,
     PatternTooSmall,
     SizeLimitExceeded,
     TooFewSamples,
@@ -275,10 +276,20 @@ def test_distance_monotone_over_three_hosts():
 )
 def test_sweep_path_reports_equal_chain_path_reports(monkeypatch, text, n):
     p = parse_pattern(text)
+    chain_calls = []
+    chain_kernel = positions.count_occurrences_batch
+
+    def spy(*args):
+        chain_calls.append(args)
+        return chain_kernel(*args)
+
+    monkeypatch.setattr(positions, "count_occurrences_batch", spy)
     sweep = run_experiment(p, n=n, m=1_500, seed=17, threads=1)
+    assert not chain_calls
     # The plan then lists a position matrix for the chain kernel.
     monkeypatch.setattr(positions, "is_path_shaped", lambda pattern: False)
     assert run_experiment(p, n=n, m=1_500, seed=17, threads=1) == sweep
+    assert chain_calls
 
 
 def test_sweep_path_is_thread_invariant():
@@ -322,3 +333,13 @@ def test_sweep_path_size_guards(monkeypatch):
     monkeypatch.setattr(montecarlo, "sample_uniform_batch", None)
     with pytest.raises(SizeLimitExceeded, match="overflow"):
         run_experiment(wide, n=100_000, m=100, seed=0)
+
+
+def test_exact_moment_limit_is_read_before_sampling(monkeypatch):
+    # The exact layer is asked for the moments before any sampling, so a
+    # malformed limit is reported without drawing a sample.
+    monkeypatch.setenv("VINCSTAT_MAX_K", "abc")
+    monkeypatch.setattr(montecarlo, "sample_uniform_batch", None)
+    for unsafe in (False, True):
+        with pytest.raises(MalformedLimit, match="VINCSTAT_MAX_K"):
+            run_experiment(parse_pattern("2,1"), n=1_600, m=40_000, seed=0, unsafe=unsafe)
