@@ -24,7 +24,7 @@ from click.core import ParameterSource
 
 from . import config
 from .depgraph import cumulant_bound, graph_summary, saulis_bound, stein_bound
-from .errors import VincstatError
+from .errors import SizeLimitExceeded, VincstatError
 from .moments import exact_variance_at, expectation, variance_polynomial
 from .montecarlo import fit_rate, run_experiment
 from .oracle import brute_force_distribution, brute_force_moments, total_variance_check
@@ -107,6 +107,12 @@ def count(pattern_text: str, perm_text: str) -> None:
               default="shuffle", show_default=True)
 def sample(n: int, seed: int, how_many: int, method: str) -> None:
     """Draw seeded uniform permutations."""
+    cap = config.listing_cap()
+    if n * how_many > cap:
+        raise SizeLimitExceeded(
+            f"{how_many} samples of size {n} hold {n * how_many} entries, "
+            f"above the listing cap {cap}"
+        )
     draw = sample_uniform_batch if method == "shuffle" else sample_by_reduction_batch
     samples = draw(n, seed, how_many).tolist()
     _emit({"n": n, "seed": seed, "method": method, "samples": samples})

@@ -48,7 +48,7 @@ def max_exact_k(unsafe: bool = False) -> int:
 
 def max_joint_t() -> int:
     """Largest union size at the exact-moment limit.  No longer enforced
-    (a joint probability costs O(k^2) at any t); the benchmark records it."""
+    (a joint probability costs O(k) at any t); the benchmark records it."""
     return 2 * max_exact_k() - 1
 
 

@@ -10,7 +10,11 @@ union size t, c of whose union steps (r, r+1) either set forces to be
 adjacent, occurs binom(n-c, t-c) times (close the forced steps, as the
 shift bijection of :mod:`vincstat.positions` does).  The joint
 probability of a class is the number of linear extensions of the two
-value chains the pattern imposes on the union, divided by t!.
+value chains the pattern imposes on the union, divided by t!.  The chains
+meet only in the ranks both sets hold, so that number is a product of
+binomials, one per stretch between consecutive shared ranks (0 when the
+chains order the shared ranks differently).  The classes of each (t, c)
+are summed in integers, so one Fraction is built per (t, c).
 
 So Var(n) = sum over classes of binom(n-c, t-c) (joint - 1/k!^2), a sum
 whose length does not depend on n.  Expanding each binomial in n gives
@@ -92,38 +96,47 @@ class OverlapClass:
         return OverlapClass(self.t, self.j_mask, self.i_mask)
 
 
-def joint_probability(cls: OverlapClass, pi: Permutation) -> Fraction:
-    """P(both indicators are 1) for a pair in this overlap class.
+def _extension_count(
+    values: Sequence[int], i_mask: Sequence[int], j_mask: Sequence[int]
+) -> int:
+    """Linear extensions of the two value chains a pattern with these
+    values imposes on the union ranks of the two masks.
 
-    On each mask the pattern orders the union ranks into a chain by
-    value; the joint is the number of linear extensions of the two
-    chains, divided by t!.  A down-set of the two chains is a prefix of
-    each, so the extensions are counted by a DP over prefix pairs
-    (a, b), in which a rank on both chains is placed on both at once.
-    The DP costs O(k^2) at any t, so no size limit applies here.
+    Union rank mask[q] sits at place values[q] (from the bottom) of its
+    mask's chain.  The chains meet only in the shared ranks.  When those
+    come in the same order on both chains, an extension interleaves the
+    two chains' segments between consecutive shared ranks independently:
+    prod_i binom(a_i + b_i, a_i), with a_i and b_i the segment lengths.
+    When the orders differ the two chains form a cycle and the count is 0.
+    O(k) at any union size.
     """
+    k = len(values)
+    on_j = dict(zip(j_mask, values))
+    # j_value[a]: the place on J's chain of the shared rank at place a on I's.
+    j_value = [0] * (k + 1)
+    for r, v in zip(i_mask, values):
+        if r in on_j:
+            j_value[v] = on_j[r]
+    count, a0, b0 = 1, 0, 0
+    for a in range(1, k + 1):
+        b = j_value[a]
+        if b:
+            if b < b0:
+                return 0
+            count *= comb(a + b - a0 - b0 - 2, a - a0 - 1)
+            a0, b0 = a, b
+    return count * comb(2 * k - a0 - b0, k - a0)
+
+
+def joint_probability(cls: OverlapClass, pi: Permutation) -> Fraction:
+    """P(both indicators are 1) for a pair in this overlap class: the
+    linear extensions of the two value chains on the union (a product of
+    binomials, see _extension_count), divided by t!.  No size limit
+    applies here."""
     k = pi.size
     if len(cls.i_mask) != k or len(cls.j_mask) != k:
         raise ValueError(f"class masks have size {len(cls.i_mask)}, pattern has size {k}")
-    by_value = sorted(range(k), key=pi.values.__getitem__)
-    # Each chain ends in a None sentinel, which both chains share, so no
-    # step ever runs past the end of a chain.
-    first = [cls.i_mask[q] for q in by_value] + [None]
-    second = [cls.j_mask[q] for q in by_value] + [None]
-    shared = set(first) & set(second)
-    ways = [[0] * (k + 2) for _ in range(k + 2)]
-    ways[0][0] = 1
-    for a in range(k + 1):
-        for b in range(k + 1):
-            w = ways[a][b]
-            x, y = first[a], second[b]
-            if x not in shared:
-                ways[a + 1][b] += w
-            if y not in shared:
-                ways[a][b + 1] += w
-            if x == y:
-                ways[a + 1][b + 1] += w
-    return Fraction(ways[k][k], factorial(cls.t))
+    return Fraction(_extension_count(pi.values, cls.i_mask, cls.j_mask), factorial(cls.t))
 
 
 def covariance(cls: OverlapClass, pi: Permutation) -> Fraction:
@@ -133,11 +146,12 @@ def covariance(cls: OverlapClass, pi: Permutation) -> Fraction:
 
 def _overlap_classes(
     pattern: VincularPattern, max_t: int
-) -> Iterator[tuple[OverlapClass, int, int]]:
+) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...], int, int]]:
     """Each overlap class of an unordered pair of intersecting admissible
-    sets with union size at most max_t, once (i_mask <= j_mask), with the
-    number c of union steps (r, r+1) that either set forces to be adjacent
-    and the number of ordered pairs of masks it stands for (1 or 2)."""
+    sets with union size at most max_t, once (i_mask <= j_mask), as a
+    tuple (t, i_mask, j_mask, c, mult): c is the number of union steps
+    (r, r+1) that either set forces to be adjacent and mult the number of
+    ordered pairs of masks the class stands for (1 or 2)."""
     k = pattern.size
 
     def forced_steps(mask):
@@ -163,22 +177,30 @@ def _overlap_classes(
                 j_steps = forced_steps(j_mask)
                 if j_steps is not None:
                     mult = 1 if j_mask == i_mask else 2
-                    yield OverlapClass(t, i_mask, j_mask), len(i_steps | j_steps), mult
+                    yield t, i_mask, j_mask, len(i_steps | j_steps), mult
 
 
 def _class_weights(
     pattern: VincularPattern, unsafe: bool, max_t: int
 ) -> dict[tuple[int, int], Fraction]:
     """Covariance summed over the classes of each (t, c), for the
-    classes with union size at most max_t."""
+    classes with union size at most max_t: the ordered pairs' linear
+    extensions over t! minus their number over k!^2, summed in integers."""
     k = pattern.size
     limit = config.max_exact_k(unsafe)
     if k > limit:
         raise SizeLimitExceeded(f"pattern size {k} exceeds the exact-moment limit {limit}")
-    weights: dict[tuple[int, int], Fraction] = {}
-    for cls, c, mult in _overlap_classes(pattern, max_t):
-        weights[cls.t, c] = weights.get((cls.t, c), 0) + mult * covariance(cls, pattern.order)
-    return weights
+    values = pattern.order.values
+    sums: dict[tuple[int, int], list[int]] = {}
+    for t, i_mask, j_mask, c, mult in _overlap_classes(pattern, max_t):
+        acc = sums.setdefault((t, c), [0, 0])
+        acc[0] += mult * _extension_count(values, i_mask, j_mask)
+        acc[1] += mult
+    square = factorial(k) ** 2
+    return {
+        (t, c): Fraction(extensions, factorial(t)) - Fraction(pairs, square)
+        for (t, c), (extensions, pairs) in sums.items()
+    }
 
 
 def exact_variance_at(pattern: VincularPattern, n: int, unsafe: bool = False) -> Fraction:

@@ -326,6 +326,25 @@ def test_count_respects_listing_cap(runner):
     assert _ok(runner.invoke(main, ["count", "--pattern", "1|3|2", "--perm", perm]))["count"] > 0
 
 
+def test_sample_respects_listing_cap(runner, monkeypatch):
+    # n * count entries above the cap are refused before any draw.
+    import vincstat.cli
+
+    drawn = []
+    monkeypatch.setattr(vincstat.cli, "sample_uniform_batch", lambda *args: drawn.append(args))
+    cap = {"VINCSTAT_LISTING_CAP": "10"}
+    result = runner.invoke(main, ["sample", "--n", "6", "--count", "2"], env=cap)
+    assert result.exit_code == 1
+    assert json.loads(result.output)["error"]["type"] == "SizeLimitExceeded"
+    assert drawn == []
+    monkeypatch.undo()
+    out = _ok(runner.invoke(main, ["sample", "--n", "6", "--count", "1"], env=cap))
+    assert out["samples"] == [list(sample_uniform(6, 0, 0).values)]
+    result = runner.invoke(main, ["sample", "--n", "0", "--count", "2"], env=cap)
+    assert result.exit_code == 1
+    assert json.loads(result.output)["error"]["type"] == "ZeroSize"
+
+
 def _count(runner, pattern, values, env=None):
     perm = ",".join(str(v) for v in values)
     return runner.invoke(main, ["count", "--pattern", pattern, "--perm", perm], env=env)

@@ -75,7 +75,7 @@ def test_negative_host_size_is_rejected():
 
 def test_joint_probability_brute_force_cross_check():
     # Re-derive a few joints by direct iteration over relative orders,
-    # sidestepping the linear-extension count and its memo cache.
+    # sidestepping the linear-extension count.
     cases = [
         (Permutation((2, 1, 3)), (1, 2, 4), (2, 4, 5)),
         (Permutation((3, 1, 2)), (1, 3, 4), (3, 4, 6)),
@@ -337,6 +337,58 @@ def test_joint_probability_matches_order_scan(k, data):
     assert joint_probability(cls, pi) == _joint_by_order_scan(cls, pi)
 
 
+def test_joint_probability_matches_order_scan_on_every_walked_class():
+    # Every class the variance walk yields, the k = 4 ones with unions of
+    # up to 7 ranks included, against the direct scan over relative orders.
+    for text in ("1|3|2", "2,1|3|4"):
+        p = parse_pattern(text)
+        for t, i_mask, j_mask, _, _ in _overlap_classes(p, 2 * p.size - 1):
+            cls = OverlapClass(t, i_mask, j_mask)
+            assert joint_probability(cls, p.order) == _joint_by_order_scan(cls, p.order), (
+                text, cls
+            )
+
+
+def test_shared_ranks_in_opposite_orders_have_zero_joint():
+    # Under 1,3,2 the first set orders its ranks 1 < 3 < 2 and the second
+    # 2 < 4 < 3: the shared ranks 2 and 3 come in opposite orders.
+    cls = OverlapClass.from_pair((1, 2, 3), (2, 3, 4))
+    assert joint_probability(cls, Permutation((1, 3, 2))) == 0
+    assert _joint_by_order_scan(cls, Permutation((1, 3, 2))) == 0
+
+
+def _fractions(*texts: str) -> tuple[Fraction, ...]:
+    return tuple(Fraction(q) for q in texts)
+
+
+def test_k6_variance_polynomial_pinned():
+    # Beyond the brute-force oracle's reach. The coefficients were computed
+    # with a DP over prefix pairs of the two chains, not the binomial product.
+    poly = variance_polynomial(parse_pattern("3|1|5|2|6|4"), unsafe=True)
+    assert poly.valid_from == 0
+    assert poly.coefficients == _fractions(
+        "0", "-57727/4191264000", "260207/11430720000", "-686999/91445760000",
+        "-61919/18289152000", "3019/1306368000", "-49843/104509440000",
+        "23123/243855360000", "-593/24385536000", "47/14631321600",
+        "-197/731566080000", "29/1149603840000",
+    )
+
+
+def test_k7_variance_polynomial_pinned(monkeypatch):
+    monkeypatch.setenv("VINCSTAT_MAX_K", "7")
+    poly = variance_polynomial(parse_pattern("3|1|5|2|6|4|7"))
+    assert poly.valid_from == 0
+    assert poly.coefficients == _fractions(
+        "0", "1755267347/1308982042368000", "-1108453/447068160000",
+        "1671340109/1380904132608000", "1929773/26336378880000",
+        "-472193413/2711593569484800", "7755551/316036546560000",
+        "123763933/18981154986393600", "-266219/105345515520000",
+        "347327/645617516544000", "-37937/386266890240000",
+        "1644823/149137646321664000", "-30817/45193226158080000",
+        "26233/969394701090816000",
+    )
+
+
 def _variance_by_pair_sum(pattern, n: int) -> Fraction:
     """Independent variance: the covariance summed over every ordered
     pair of intersecting admissible sets at host size n."""
@@ -374,7 +426,8 @@ def test_each_unordered_class_is_visited_once():
         p = parse_pattern(text)
         n = 2 * p.size - 1
         ordered = []
-        for cls, _, mult in _overlap_classes(p, n):
+        for t, i_mask, j_mask, _, mult in _overlap_classes(p, n):
+            cls = OverlapClass(t, i_mask, j_mask)
             assert cls.i_mask <= cls.j_mask, (text, cls)
             assert mult == (1 if cls.i_mask == cls.j_mask else 2), (text, cls)
             ordered += [cls] if mult == 1 else [cls, cls.swapped()]
