@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -238,11 +237,9 @@ def bounds(ctx, kind, pattern_text, n, big_n, big_d, bound_b, sigma2, r, gamma, 
 def clt(ctx, pattern_text, n, samples, seed, threads, fmt):
     """Sample the standardized statistic; report d_K and cumulants."""
     pattern = parse_pattern(pattern_text)
-    if threads is None:  # the CPUs this process may run on
-        affinity = getattr(os, "sched_getaffinity", None)
-        threads = len(affinity(0)) if affinity else os.cpu_count() or 1
-    rep = run_experiment(pattern, n, samples, seed, threads=threads,
-                         unsafe=ctx.obj["unsafe"])
+    # Without --threads, one worker per CPU this process may run on.
+    threads = threads or config.available_cpus()
+    rep = run_experiment(pattern, n, samples, seed, threads=threads, unsafe=ctx.obj["unsafe"])
     c = rep.cumulants
     if fmt == "csv":
         buf = io.StringIO()

@@ -52,6 +52,13 @@ def max_joint_t() -> int:
     return 2 * max_exact_k() - 1
 
 
+def available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS
+    reports one, else os.cpu_count()."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def oracle_max_n() -> int:
     """Largest host size n for full-S_n brute-force enumeration."""
     return _env_int("VINCSTAT_ORACLE_MAX_N", DEFAULT_ORACLE_MAX_N)

@@ -151,13 +151,20 @@ def _overlap_classes(
     sets with union size at most max_t, once (i_mask <= j_mask), as a
     tuple (t, i_mask, j_mask, c, mult): c is the number of union steps
     (r, r+1) that either set forces to be adjacent and mult the number of
-    ordered pairs of masks the class stands for (1 or 2)."""
+    ordered pairs of masks the class stands for (1 or 2).
+
+    j_mask < i_mask exactly when the smallest rank in one mask but not
+    the other is in j_mask.  The ranks below the first rank outside
+    i_mask all lie in i_mask, so the pair is skipped, before j_mask is
+    built, when common keeps every one of them.
+    """
     k = pattern.size
+    glued = pattern.adjacencies
 
     def forced_steps(mask):
         # None when a union rank separates two entries the pattern glues.
         steps = set()
-        for a in pattern.adjacencies:
+        for a in glued:
             if mask[a] != mask[a - 1] + 1:
                 return None
             steps.add(mask[a - 1])
@@ -166,15 +173,16 @@ def _overlap_classes(
     for t in range(k, min(2 * k - 1, max_t) + 1):
         ranks = range(1, t + 1)
         for i_mask in combinations(ranks, k):
-            i_steps = forced_steps(i_mask)
+            i_steps = forced_steps(i_mask) if glued else set()
             if i_steps is None:
                 continue
             rest = tuple(r for r in ranks if r not in i_mask)
+            low = rest[0] - 1 if rest else k
             for common in combinations(i_mask, 2 * k - t):
+                if rest and common[:low] == i_mask[:low]:
+                    continue  # j_mask < i_mask
                 j_mask = tuple(sorted(rest + common))
-                if j_mask < i_mask:
-                    continue
-                j_steps = forced_steps(j_mask)
+                j_steps = forced_steps(j_mask) if glued else i_steps
                 if j_steps is not None:
                     mult = 1 if j_mask == i_mask else 2
                     yield t, i_mask, j_mask, len(i_steps | j_steps), mult

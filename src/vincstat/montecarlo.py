@@ -9,6 +9,12 @@ log d_K against log n estimates the convergence-rate exponent.
 The empirical d_K of m samples cannot drop below ~0.43/sqrt(m) (the
 noise floor of the empirical distribution function itself), so rate fits
 should stop increasing n once d_K approaches that floor.
+
+Counts are integers, so a sample is kept as its distinct values and
+their frequencies: each chunk of permutations is reduced to (value,
+frequency) pairs as soon as it is counted, and d_K and the cumulants are
+computed from the merged pairs.  Memory grows with the number of
+distinct counts, not with the number of samples.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from math import erfc, sqrt
 
 import numpy as np
 
+from . import config
 from .errors import DegenerateInput, EmptySample, PatternTooSmall, SizeLimitExceeded, TooFewSamples
 from .moments import exact_variance_at, expectation
 from .patterns import VincularPattern, format_pattern
@@ -34,32 +41,67 @@ __all__ = [
     "fit_rate",
 ]
 
-_CHUNK = 4096  # samples per generation/counting chunk; rows are seeded by
-               # their index, so this only bounds memory and sets the
-               # parallel grain
-_CHUNK_CELLS = 2**23  # fewer samples per chunk once n > 2048, so that a
-                      # chunk of rows stays within this many cells
+_CHUNK = 4096  # at most this many samples per generation/counting chunk;
+               # rows are seeded by their index, so chunking only bounds
+               # memory and sets the parallel grain
+_CHUNK_CELLS = 2**19  # and at most this many permutation entries per
+                      # chunk: fewer samples once n > 128
 
 
 def _normal_cdf(xs: np.ndarray) -> np.ndarray:
     """Standard normal distribution function Phi(x) = erfc(-x/sqrt(2))/2
-    at each entry of xs.  erfc keeps the lower tail to full relative
-    precision, where (1 + erf(x/sqrt(2)))/2 would cancel."""
+    at each entry of xs, one math.erfc call per entry: callers pass the
+    distinct values of a sample, not the sample.  erfc keeps the lower
+    tail to full relative precision, where (1 + erf(x/sqrt(2)))/2 would
+    cancel."""
     root2 = sqrt(2)
     return np.array([erfc(-x / root2) / 2 for x in xs.tolist()], dtype=np.float64)
 
 
-def empirical_kolmogorov(xs: np.ndarray) -> float:
-    """Kolmogorov distance between the empirical distribution of xs and
-    the standard normal."""
+def _grouped(xs, freqs) -> tuple[np.ndarray, np.ndarray, int]:
+    """The distinct values of a sample in ascending order, how often each
+    occurs, and the sample size.  The sample is xs, or, when freqs is
+    given, xs[i] taken freqs[i] times for each i."""
     xs = np.asarray(xs, dtype=np.float64).ravel()
-    m = xs.size
+    if freqs is None:
+        values, counts = np.unique(xs, return_counts=True)
+    else:
+        freqs = np.asarray(freqs).ravel()
+        if (freqs.shape != xs.shape or not np.issubdtype(freqs.dtype, np.integer)
+                or (freqs < 0).any()):
+            raise DegenerateInput("freqs must give one non-negative integer count per value")
+        values, counts = _summed(xs, freqs)
+    return values, counts, int(counts.sum())
+
+
+def _summed(values: np.ndarray, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct entries of values in ascending order, each with the
+    sum of the freqs of the entries equal to it."""
+    # With return_inverse, np.unique skips the numpy.ma import that a
+    # bare np.unique (and np.union1d) triggers, about 1 MB.
+    distinct, inverse = np.unique(values, return_inverse=True)
+    total = np.zeros(distinct.size, dtype=np.int64)
+    np.add.at(total, inverse.ravel(), freqs)
+    return distinct, total
+
+
+def empirical_kolmogorov(xs: np.ndarray, freqs: np.ndarray | None = None) -> float:
+    """Kolmogorov distance between the empirical distribution of a
+    sample and the standard normal.
+
+    The sample is xs, or xs[i] taken freqs[i] times when freqs is given;
+    either way it is grouped by value.  The supremum is reached at a
+    value v: F(v) - Phi(v) or Phi(v) - F(v-), read off the cumulative
+    frequencies, so Phi is evaluated once per distinct value.  The result
+    is the same float as from the sorted m-array.
+    """
+    values, freqs, m = _grouped(xs, freqs)
     if m == 0:
         raise EmptySample("empirical distance of an empty sample")
-    sorted_xs = np.sort(xs)
-    cdf = _normal_cdf(sorted_xs)
-    upper = np.arange(1, m + 1) / m - cdf
-    lower = cdf - np.arange(0, m) / m
+    cdf = _normal_cdf(values)
+    through = np.cumsum(freqs)
+    upper = through / m - cdf
+    lower = cdf - (through - freqs) / m
     return float(max(upper.max(), lower.max()))
 
 
@@ -75,43 +117,40 @@ class CumulantEstimates:
     se4: float
 
 
-def _cumulants_of(xs: np.ndarray) -> tuple[float, float, float, float]:
-    mean = xs.mean()
-    xc = xs - mean
-    m2 = float(np.mean(xc * xc))
-    m3 = float(np.mean(xc**3))
-    m4 = float(np.mean(xc**4))
-    return float(mean), m2, m3, m4 - 3 * m2 * m2
-
-
-def sample_cumulants(xs: np.ndarray) -> CumulantEstimates:
+def sample_cumulants(xs: np.ndarray, freqs: np.ndarray | None = None) -> CumulantEstimates:
     """Plug-in estimates of the first four cumulants, with delete-one
     jackknife standard errors.
 
-    The estimators are the central-moment plug-ins (k4 = m4 - 3 m2^2);
-    their O(1/m) bias is far below the Monte Carlo tolerances used here.
-    The jackknife (Efron & Stein 1981) recomputes them with each
-    observation left out: the power sums of the sample centered at k1,
-    minus that observation's powers, give all m replicates in O(m), and
-    se = sqrt((m-1)/m * sum_i (theta_i - mean theta)^2).  No randomness
-    is involved, so equal samples give equal errors.
+    The sample is xs, or xs[i] taken freqs[i] times when freqs is given;
+    either way it is grouped into d distinct values v with frequencies
+    f_v, and every sum runs over those values.  The estimators are the
+    central-moment plug-ins (k4 = m4 - 3 m2^2); their O(1/m) bias is far
+    below the Monte Carlo tolerances used here.  The jackknife (Efron &
+    Stein 1981) recomputes them with each observation left out.  A
+    replicate depends on the observation only through its value: the
+    power sums of the sample centered at k1, minus that value's powers,
+    give the d distinct replicates theta_v in O(d), and
+    se = sqrt((m-1)/m * sum_v f_v (theta_v - mean theta)^2).  No
+    randomness is involved, so equal samples give equal errors.
     """
-    xs = np.asarray(xs, dtype=np.float64).ravel()
-    m = xs.size
+    values, freqs, m = _grouped(xs, freqs)
     if m < 5:
         raise TooFewSamples(f"need at least 5 observations, got {m}")
-    k1, k2, k3, k4 = _cumulants_of(xs)
-    y = xs - k1
+    weights = freqs.astype(np.float64)
+    k1 = float(weights @ values) / m
+    y = values - k1
     powers = np.stack([y, y * y, y**3, y**4])
-    s1, s2, s3, s4 = (powers.sum(axis=1, keepdims=True) - powers) / (m - 1)
+    sums = powers @ weights
+    m2, m3, m4 = (float(s) / m for s in sums[1:])
+    s1, s2, s3, s4 = (sums[:, None] - powers) / (m - 1)
     c2 = s2 - s1 * s1
     c3 = s3 - 3 * s1 * s2 + 2 * s1**3
     c4 = s4 - 4 * s1 * s3 + 6 * s1 * s1 * s2 - 3 * s1**4 - 3 * c2 * c2
     # The k1 replicates are s1 + k1; the constant shift leaves their spread alone.
     reps = np.stack([s1, c2, c3, c4])
-    dev = reps - reps.mean(axis=1, keepdims=True)
-    ses = np.sqrt((m - 1) / m * (dev * dev).sum(axis=1))
-    return CumulantEstimates(k1, k2, k3, k4, *(float(s) for s in ses))
+    dev = reps - (reps @ weights / m)[:, None]
+    ses = np.sqrt((m - 1) / m * ((dev * dev) @ weights))
+    return CumulantEstimates(k1, m2, m3, m4 - 3 * m2 * m2, *(float(s) for s in ses))
 
 
 @dataclass(frozen=True)
@@ -125,9 +164,22 @@ class MonteCarloReport:
     used_exact_moments: bool
 
 
-def _count_chunk(args) -> np.ndarray:
+def _count_chunk(args) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct occurrence counts of one chunk of samples and their
+    frequencies."""
     pattern, n, seed, start, count, plan = args
-    return count_rows(sample_uniform_batch(n, seed, count, start), pattern, plan)
+    counts = count_rows(sample_uniform_batch(n, seed, count, start), pattern, plan)
+    return np.unique(counts, return_counts=True)
+
+
+def _merged(pieces) -> tuple[np.ndarray, np.ndarray]:
+    """One (value, frequency) summary from the chunks' summaries, merged
+    as they arrive."""
+    pieces = iter(pieces)
+    values, freqs = next(pieces)
+    for more, more_freqs in pieces:
+        values, freqs = _summed(np.concatenate([values, more]), np.concatenate([freqs, more_freqs]))
+    return values, freqs
 
 
 def run_experiment(
@@ -146,8 +198,12 @@ def run_experiment(
     is asked for the variance.  Where exact_variance_at refuses the
     pattern as beyond the exact-moment limit (raised to at least k=6 by
     unsafe), sample moments standardize instead, as the report records.
-    Every chunk is counted by positions.count_rows.  Output is identical
-    for every thread count; at most one worker process runs per chunk.
+    The samples are drawn in chunks of at most _CHUNK samples and
+    _CHUNK_CELLS permutation entries.  Every chunk is counted by
+    positions.count_rows and reduced to (value, frequency) pairs, which
+    are merged; no array of m counts is built.  Output is identical for
+    every thread count.  At most min(threads, chunks, CPUs in the
+    affinity mask) worker processes run.
     """
     if pattern.size < 2:
         raise PatternTooSmall("the normal limit concerns patterns of size k >= 2")
@@ -164,41 +220,44 @@ def run_experiment(
     if var_q is not None and var_q <= 0:
         raise DegenerateInput(f"exact variance is {var_q} at n={n}; nothing to standardize")
     chunk = max(1, min(_CHUNK, _CHUNK_CELLS // n))
-    tasks = [
+    chunks = -(-m // chunk)
+    tasks = (
         (pattern, n, seed, start, min(chunk, m - start), plan)
         for start in range(0, m, chunk)
-    ]
+    )
     # With the fork start method every worker is forked at the first
     # submit, whether or not a task is left for it.
-    workers = min(threads or 1, len(tasks))
+    workers = min(threads or 1, chunks, config.available_cpus())
     if workers > 1:
         # Imported here: loading multiprocessing slows every other start.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             # One batch per worker, so even a few chunks are split.
-            batch = -(-len(tasks) // workers)
-            pieces = list(pool.map(_count_chunk, tasks, chunksize=batch))
+            batch = -(-chunks // workers)
+            counts, freqs = _merged(pool.map(_count_chunk, tasks, chunksize=batch))
     else:
-        pieces = [_count_chunk(t) for t in tasks]
-    counts = np.concatenate(pieces).astype(np.float64)
+        counts, freqs = _merged(map(_count_chunk, tasks))
 
     if var_q is not None:
         mean, var = float(expectation(pattern, n)), float(var_q)
     else:
-        mean = float(counts.mean())
-        var = float(counts.var())
-        if var <= 0:
+        # Power sums in Python integers, so each moment is rounded once.
+        pairs = list(zip(counts.tolist(), freqs.tolist()))
+        s1 = sum(f * v for v, f in pairs)
+        s2 = sum(f * v * v for v, f in pairs)
+        if m * s2 == s1 * s1:
             raise DegenerateInput("sample variance is zero; nothing to standardize")
-    xs = (counts - mean) / np.sqrt(var)
+        mean, var = s1 / m, (m * s2 - s1 * s1) / (m * m)
+    xs = (counts.astype(np.float64) - mean) / np.sqrt(var)
 
     return MonteCarloReport(
         pattern=format_pattern(pattern),
         n=n,
         samples=m,
         seed=seed,
-        d_K=empirical_kolmogorov(xs),
-        cumulants=sample_cumulants(xs),
+        d_K=empirical_kolmogorov(xs, freqs),
+        cumulants=sample_cumulants(xs, freqs),
         used_exact_moments=var_q is not None,
     )
 

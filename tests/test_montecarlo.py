@@ -1,9 +1,15 @@
 import concurrent.futures
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 
+import vincstat
 from vincstat.errors import (
     DegenerateInput,
     EmptySample,
@@ -15,16 +21,49 @@ from vincstat.errors import (
 from vincstat import montecarlo, positions
 from vincstat.montecarlo import (
     _CHUNK,
-    _cumulants_of,
     _normal_cdf,
     empirical_kolmogorov,
     fit_rate,
     run_experiment,
     sample_cumulants,
 )
+from vincstat.moments import exact_variance_at, expectation
 from vincstat.patterns import parse_pattern
-from vincstat.positions import position_count
-from vincstat.sampling import NORMAL_STREAM, substream
+from vincstat.positions import count_rows, plan_count, position_count
+from vincstat.sampling import NORMAL_STREAM, sample_uniform_batch, substream
+
+
+def _plug_in_cumulants(xs):
+    """The four plug-in cumulants of a plain sample, from its m entries."""
+    mean = xs.mean()
+    xc = xs - mean
+    m2, m3, m4 = (np.mean(xc**p) for p in (2, 3, 4))
+    return mean, m2, m3, m4 - 3 * m2 * m2
+
+
+def _leave_one_out_ses(xs):
+    """Jackknife errors from the plug-ins recomputed on each sample with
+    one point deleted."""
+    m = xs.size
+    reps = np.array([_plug_in_cumulants(np.delete(xs, i)) for i in range(m)])
+    return np.sqrt((m - 1) / m * ((reps - reps.mean(axis=0)) ** 2).sum(axis=0))
+
+
+def _kolmogorov_of_sorted_array(xs):
+    """d_K from the sorted m-array: one Phi per sample."""
+    xs = np.sort(xs)
+    m = xs.size
+    cdf = _normal_cdf(xs)
+    return float(max((np.arange(1, m + 1) / m - cdf).max(), (cdf - np.arange(m) / m).max()))
+
+
+def _standardized_counts(text, n, m, seed):
+    """Counts of a pattern in m seeded permutations, standardized by the
+    exact moments: ties everywhere, as run_experiment sees them."""
+    p = parse_pattern(text)
+    counts = count_rows(sample_uniform_batch(n, seed, m), p, plan_count(n, p))
+    mean = float(expectation(p, n))
+    return (counts.astype(np.float64) - mean) / np.sqrt(float(exact_variance_at(p, n)))
 
 
 def test_kolmogorov_distance_single_point():
@@ -110,19 +149,97 @@ def test_jackknife_mean_error_is_the_standard_error():
 
 
 def test_jackknife_matches_explicit_leave_one_out():
-    # Reference: recompute the plug-ins on each sample with one point deleted.
     xs = substream(13, 0, NORMAL_STREAM).exponential(size=50)
-    m = xs.size
-    reps = np.array([_cumulants_of(np.delete(xs, i)) for i in range(m)])
-    expected = np.sqrt((m - 1) / m * ((reps - reps.mean(axis=0)) ** 2).sum(axis=0))
     est = sample_cumulants(xs)
     got = np.array([est.se1, est.se2, est.se3, est.se4])
-    np.testing.assert_allclose(got, expected, rtol=1e-12)
+    np.testing.assert_allclose(got, _leave_one_out_ses(xs), rtol=1e-12)
 
 
-def test_run_experiment_deterministic_and_thread_invariant():
+SUMMARY_SAMPLES = [
+    ("2,1 at n=3", lambda: _standardized_counts("2,1", 3, 20_000, 4)),
+    ("2,1 at n=25", lambda: _standardized_counts("2,1", 25, 20_000, 5)),
+    ("exponential", lambda: substream(15, 0, NORMAL_STREAM).exponential(size=20_000)),
+]
+
+
+@pytest.mark.parametrize("make", [m for _, m in SUMMARY_SAMPLES], ids=[i for i, _ in SUMMARY_SAMPLES])
+def test_kolmogorov_from_frequencies_equals_the_sorted_array(make):
+    xs = make()
+    values, freqs = np.unique(xs, return_counts=True)
+    reference = _kolmogorov_of_sorted_array(xs)
+    assert empirical_kolmogorov(values, freqs) == reference
+    assert empirical_kolmogorov(xs) == reference
+    # Repeated and unordered values are grouped first.
+    half = freqs // 2
+    twice = np.concatenate([values, values[::-1]])
+    assert empirical_kolmogorov(twice, np.concatenate([half, (freqs - half)[::-1]])) == reference
+
+
+@pytest.mark.parametrize("make", [m for _, m in SUMMARY_SAMPLES], ids=[i for i, _ in SUMMARY_SAMPLES])
+def test_cumulants_from_frequencies_equal_the_sample_form(make):
+    xs = make()
+    values, freqs = np.unique(xs, return_counts=True)
+    est = sample_cumulants(xs)
+    assert sample_cumulants(values, freqs) == est
+    got = np.array([est.k1, est.k2, est.k3, est.k4])
+    np.testing.assert_allclose(got, _plug_in_cumulants(xs), rtol=1e-11, atol=1e-13)
+
+
+def test_frequencies_are_validated():
+    with pytest.raises(DegenerateInput):
+        empirical_kolmogorov(np.array([0.0, 1.0]), np.array([1, 2, 3]))
+    with pytest.raises(DegenerateInput):
+        sample_cumulants(np.arange(6.0), np.array([1, 1, 1, 1, 1, -1]))
+    with pytest.raises(DegenerateInput):
+        sample_cumulants(np.arange(6.0), np.full(6, 1.5))
+    with pytest.raises(EmptySample):
+        empirical_kolmogorov(np.array([0.5]), np.array([0]))
+
+
+def test_jackknife_groups_tied_observations():
+    # Explicit leave-one-out on a sample with heavy ties: each deleted
+    # observation is its own replicate, and equal values give equal ones.
+    xs = _standardized_counts("2,1", 5, 60, 6)
+    assert np.unique(xs).size < 6
+    est = sample_cumulants(xs)
+    got = np.array([est.se1, est.se2, est.se3, est.se4])
+    np.testing.assert_allclose(got, _leave_one_out_ses(xs), rtol=1e-12)
+
+
+def test_run_experiment_memory_does_not_grow_with_samples():
+    # Chunks are reduced to (value, frequency) pairs as they are counted,
+    # so eight times the samples hold no more memory.
+    p = parse_pattern("2,1")
+    peaks = []
+    for m in (20_000, 160_000):
+        tracemalloc.start()
+        try:
+            run_experiment(p, n=3, m=m, seed=2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 2**20, peaks
+
+
+def test_run_experiment_leaves_numpy_ma_unloaded():
+    # A bare np.unique or np.union1d imports numpy.ma, about 1 MB more
+    # peak memory on every clt run; merging the chunk summaries must not.
+    src = str(Path(vincstat.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r})\n"
+            "from vincstat.montecarlo import run_experiment\n"
+            "from vincstat.patterns import parse_pattern\n"
+            "run_experiment(parse_pattern('3|1,2'), n=100, m=10_000, seed=3)\n"
+            "print('numpy.ma' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
+def test_run_experiment_deterministic_and_thread_invariant(monkeypatch):
     # m spans four sampling chunks, so two and three workers really split
-    # the work (the last chunk holds a single sample).
+    # the work (the last chunk holds a single sample).  Three CPUs in the
+    # mask, so that three workers start on a smaller machine too.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     p = parse_pattern("2,1")
     m = 3 * _CHUNK + 1
     base = run_experiment(p, n=30, m=m, seed=101, threads=1)
@@ -155,6 +272,7 @@ def test_run_experiment_gives_every_worker_a_share(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     run_experiment(parse_pattern("2,1"), n=6, m=3 * _CHUNK + 1, seed=3, threads=3)
     assert seen == {"workers": 3, "chunksize": 2}
     # No more workers than chunks: eight threads over two chunks start
@@ -165,6 +283,36 @@ def test_run_experiment_gives_every_worker_a_share(monkeypatch):
     seen.clear()
     run_experiment(parse_pattern("2,1"), n=6, m=100, seed=3, threads=4)
     assert seen == {}
+
+
+def test_run_experiment_workers_never_exceed_the_affinity_mask(monkeypatch):
+    # 5000 threads asked for over four chunks, two CPUs in the mask: at
+    # most two workers, and the intercepted pool starts no process.
+    seen = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    p = parse_pattern("2,1")
+    capped = run_experiment(p, n=6, m=3 * _CHUNK + 1, seed=3, threads=5000)
+    assert seen == [2]
+    assert capped == run_experiment(p, n=6, m=3 * _CHUNK + 1, seed=3, threads=1)
+    # One CPU in the mask: no pool at all.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert run_experiment(p, n=6, m=3 * _CHUNK + 1, seed=3, threads=5000) == capped
+    assert seen == [2]
 
 
 def test_run_experiment_standardization_is_exact():
