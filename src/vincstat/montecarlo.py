@@ -70,15 +70,18 @@ def _grouped(xs, freqs) -> tuple[np.ndarray, np.ndarray, int]:
         if (freqs.shape != xs.shape or not np.issubdtype(freqs.dtype, np.integer)
                 or (freqs < 0).any()):
             raise DegenerateInput("freqs must give one non-negative integer count per value")
-        values, counts = _summed(xs, freqs)
+        if (xs[1:] > xs[:-1]).all():
+            values, counts = xs, freqs  # already a summary, as run_experiment's is
+        else:
+            values, counts = _summed(xs, freqs)
     return values, counts, int(counts.sum())
 
 
 def _summed(values: np.ndarray, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct entries of values in ascending order, each with the
     sum of the freqs of the entries equal to it."""
-    # With return_inverse, np.unique skips the numpy.ma import that a
-    # bare np.unique (and np.union1d) triggers, about 1 MB.
+    # On numpy 2, a bare np.unique (or np.union1d) imports numpy.ma,
+    # about 1 MB; with return_inverse it does not.
     distinct, inverse = np.unique(values, return_inverse=True)
     total = np.zeros(distinct.size, dtype=np.int64)
     np.add.at(total, inverse.ravel(), freqs)
@@ -142,14 +145,20 @@ def sample_cumulants(xs: np.ndarray, freqs: np.ndarray | None = None) -> Cumulan
     powers = np.stack([y, y * y, y**3, y**4])
     sums = powers @ weights
     m2, m3, m4 = (float(s) / m for s in sums[1:])
-    s1, s2, s3, s4 = (sums[:, None] - powers) / (m - 1)
+    # Rows are overwritten in place, so d-length temporaries stay few
+    # when every value is distinct.
+    np.subtract(sums[:, None], powers, out=powers)
+    powers /= m - 1
+    s1, s2, s3, s4 = powers
     c2 = s2 - s1 * s1
     c3 = s3 - 3 * s1 * s2 + 2 * s1**3
-    c4 = s4 - 4 * s1 * s3 + 6 * s1 * s1 * s2 - 3 * s1**4 - 3 * c2 * c2
+    s4[:] = s4 - 4 * s1 * s3 + 6 * s1 * s1 * s2 - 3 * s1**4 - 3 * c2 * c2
+    s2[:], s3[:] = c2, c3
     # The k1 replicates are s1 + k1; the constant shift leaves their spread alone.
-    reps = np.stack([s1, c2, c3, c4])
-    dev = reps - (reps @ weights / m)[:, None]
-    ses = np.sqrt((m - 1) / m * ((dev * dev) @ weights))
+    reps = powers
+    reps -= (reps @ weights / m)[:, None]
+    reps *= reps
+    ses = np.sqrt((m - 1) / m * (reps @ weights))
     return CumulantEstimates(k1, m2, m3, m4 - 3 * m2 * m2, *(float(s) for s in ses))
 
 
@@ -173,13 +182,31 @@ def _count_chunk(args) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _merged(pieces) -> tuple[np.ndarray, np.ndarray]:
-    """One (value, frequency) summary from the chunks' summaries, merged
-    as they arrive."""
+    """One (value, frequency) summary from the chunks' summaries.
+
+    Summaries wait until together they hold more pairs than the running
+    summary, and are then folded into it at once.  A fold costs at most
+    twice the pairs waiting, each pair waits for one fold, so merging is
+    O(m log m) even when every count is distinct; with few distinct
+    counts the waiting pairs stay few, and memory with them.
+    """
     pieces = iter(pieces)
-    values, freqs = next(pieces)
-    for more, more_freqs in pieces:
-        values, freqs = _summed(np.concatenate([values, more]), np.concatenate([freqs, more_freqs]))
-    return values, freqs
+    held = [next(pieces)]  # the running summary, then the waiting ones
+    waiting = 0
+    for piece in pieces:
+        held.append(piece)
+        waiting += piece[0].size
+        if waiting > held[0][0].size:
+            held, waiting = [_folded(held)], 0
+    return _folded(held)
+
+
+def _folded(summaries) -> tuple[np.ndarray, np.ndarray]:
+    """The (value, frequency) summaries joined into one."""
+    if len(summaries) == 1:
+        return summaries[0]
+    values, freqs = zip(*summaries)
+    return _summed(np.concatenate(values), np.concatenate(freqs))
 
 
 def run_experiment(

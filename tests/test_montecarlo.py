@@ -1,15 +1,11 @@
 import concurrent.futures
 import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 
-import vincstat
 from vincstat.errors import (
     DegenerateInput,
     EmptySample,
@@ -221,18 +217,30 @@ def test_run_experiment_memory_does_not_grow_with_samples():
     assert peaks[1] - peaks[0] <= 2**20, peaks
 
 
-def test_run_experiment_leaves_numpy_ma_unloaded():
-    # A bare np.unique or np.union1d imports numpy.ma, about 1 MB more
-    # peak memory on every clt run; merging the chunk summaries must not.
-    src = str(Path(vincstat.__file__).resolve().parents[1])
-    code = (f"import sys; sys.path.insert(0, {src!r})\n"
-            "from vincstat.montecarlo import run_experiment\n"
-            "from vincstat.patterns import parse_pattern\n"
-            "run_experiment(parse_pattern('3|1,2'), n=100, m=10_000, seed=3)\n"
-            "print('numpy.ma' in sys.modules)")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+def test_merge_work_stays_linear_in_the_pairs(monkeypatch):
+    # Tie-free chunk summaries (every count distinct) must not be
+    # re-merged into a growing summary once per chunk, which is quadratic;
+    # tie-heavy ones must not pile up unmerged.
+    merged_sizes = []
+    summed = montecarlo._summed
+
+    def counting(values, freqs):
+        merged_sizes.append(values.size)
+        return summed(values, freqs)
+
+    monkeypatch.setattr(montecarlo, "_summed", counting)
+    rng = np.random.default_rng(4)
+    for distinct, pieces in ((10**12, 300), (5, 300)):
+        draws = [rng.integers(0, distinct, size=100) for _ in range(pieces)]
+        merged_sizes.clear()
+        values, freqs = montecarlo._merged(np.unique(d, return_counts=True) for d in draws)
+        expected_values, expected_freqs = np.unique(np.concatenate(draws), return_counts=True)
+        np.testing.assert_array_equal(values, expected_values)
+        np.testing.assert_array_equal(freqs, expected_freqs)
+        if distinct > 5:
+            assert sum(merged_sizes) <= 4 * 100 * pieces, sum(merged_sizes)
+        else:
+            assert max(merged_sizes) <= 3 * distinct, max(merged_sizes)
 
 
 def test_run_experiment_deterministic_and_thread_invariant(monkeypatch):
