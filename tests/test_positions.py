@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import numpy as np
@@ -24,9 +24,11 @@ from vincstat.positions import (
     count_occurrences,
     count_occurrences_batch,
     count_occurrences_sweep,
+    count_rows,
     enumerate_position_sets,
     is_path_shaped,
     occurs_at,
+    plan_count,
     position_count,
     position_matrix,
     shift_bijection,
@@ -316,7 +318,8 @@ _PATH_SHAPED = [p for k in range(2, 6) for p in iter_patterns(k) if is_path_shap
 
 def test_sweep_equals_chain_kernel_on_every_path_shaped_pattern(monkeypatch):
     # Every covered pattern with k <= 5 at every n <= 12 (n < k included);
-    # a small cell budget splits the 40 rows into several sub-chunks.
+    # a small cell budget splits the 40 rows into several sub-chunks, and
+    # two-block patterns are counted once more by the scan.
     monkeypatch.setattr(positions, "_SWEEP_CELLS", 64)
     for n in range(1, 13):
         perms = sample_uniform_batch(n, seed=n, count=40)
@@ -325,6 +328,109 @@ def test_sweep_equals_chain_kernel_on_every_path_shaped_pattern(monkeypatch):
             assert sweep.dtype == np.int64
             chain = count_occurrences_batch(perms, p, position_matrix(n, p))
             assert sweep.tolist() == chain.tolist(), (p, n)
+            if p.block_count == 2:
+                with monkeypatch.context() as scan_all:
+                    scan_all.setattr(positions, "_SCAN_MIN", 0)
+                    assert count_occurrences_sweep(perms, p).tolist() == chain.tolist(), (p, n)
+
+
+# Two-block path-shaped patterns, rising and falling, whose first block
+# (the gap of the dominance step) has 1, 2 or 3 entries.  A first block of
+# two or more leaves the sources whose window fails dead, at random.
+_TWO_BLOCK = ("1|2", "2|1", "3|1,2", "1,2|3", "2,1|3,4", "4,5|3,1,2", "1,3,2|4", "5,4,3|1,2")
+
+
+@pytest.mark.parametrize("popcount", ["numpy", "byte table"])
+def test_scan_equals_dominance_across_word_boundaries(monkeypatch, popcount):
+    # The scan keeps (n+1)//64 + 1 words per row and passes a dead source
+    # as n+1, so n = 63 and 127 add a word that only dead sources use.
+    # 26 rows take _dominance with 0/1 weights; _SCAN_MIN = 0 scans them.
+    if popcount == "byte table":
+        monkeypatch.setattr(positions, "_popcount", positions._byte_popcount)
+    for n in (62, 63, 64, 65, 126, 127, 128, 129):
+        perms = np.vstack([
+            np.arange(1, n + 1), np.arange(n, 0, -1), sample_uniform_batch(n, seed=n, count=24)
+        ]).astype(np.int16)
+        for text in _TWO_BLOCK:
+            p = parse_pattern(text)
+            thin = count_occurrences_sweep(perms, p)
+            with monkeypatch.context() as scan_all:
+                scan_all.setattr(positions, "_SCAN_MIN", 0)
+                for dtype in (np.int16, np.int32):
+                    scan = count_occurrences_sweep(perms.astype(dtype), p)
+                    assert scan.tolist() == thin.tolist(), (text, n, dtype)
+
+
+def test_scan_copies_past_int16(monkeypatch):
+    # At n = 2^15 - 1 a dead source, n+1, leaves int16, so the scan's copy
+    # is int32.  1,2|3 occurs at every position set of the identity and
+    # nowhere in its reverse, whose sources are all dead.
+    n = 2**15 - 1
+    p = parse_pattern("1,2|3")
+    rows = np.stack([np.arange(1, n + 1), np.arange(n, 0, -1), sample_uniform_batch(n, 4, 1)[0]])
+    thin = count_occurrences_sweep(rows, p)
+    monkeypatch.setattr(positions, "_SCAN_MIN", 0)
+    scan = count_occurrences_sweep(rows.astype(np.int32), p)
+    assert scan.tolist() == thin.tolist()
+    assert scan[:2].tolist() == [position_count(n, p), 0]
+    # The complement n+1-sigma is taken in the copy's dtype, not the rows'.
+    rows = sample_uniform_batch(255, seed=5, count=4)
+    scan = count_occurrences_sweep(rows.astype(np.uint8), parse_pattern("2|1"))
+    monkeypatch.undo()
+    assert scan.tolist() == count_occurrences_sweep(rows, parse_pattern("2|1")).tolist()
+
+
+def test_sweep_scans_thick_batches_only(monkeypatch):
+    # 72 rows at n = 1600 are thick (72^3 * 1600 >= 2^29), 8 rows are not,
+    # and three blocks always take _dominance.
+    calls = []
+    scan = positions._two_block_scan
+
+    def spy(perms, *chains):
+        calls.append(perms.shape)
+        return scan(perms, *chains)
+
+    monkeypatch.setattr(positions, "_two_block_scan", spy)
+    perms = sample_uniform_batch(1600, seed=2, count=72)
+    p = parse_pattern("3|1,2")
+    thick = count_occurrences_sweep(perms, p)
+    assert calls == [(72, 1600)]
+    thin = [count_occurrences_sweep(perms[lo : lo + 8], p) for lo in range(0, 72, 8)]
+    count_occurrences_sweep(perms, parse_pattern("1|2|3"))
+    assert calls == [(72, 1600)]
+    assert thick.tolist() == np.concatenate(thin).tolist()
+
+
+def test_byte_popcount_counts_set_bits():
+    words = np.concatenate([
+        np.array([0, 1, 2**63, 2**64 - 1, 0x5555555555555555], dtype=np.uint64),
+        np.random.default_rng(3).integers(0, 2**64 - 1, 200, dtype=np.uint64, endpoint=True),
+    ])
+    assert positions._byte_popcount(words).tolist() == [bin(int(w)).count("1") for w in words]
+
+
+def test_counts_over_all_value_orders_sum_to_the_position_count(monkeypatch):
+    # Every admissible position set reduces to exactly one value order, so
+    # for one composition the six counts of a row sum to position_count.
+    # At n = 200, 144 rows put the four path-shaped orders of each
+    # composition on the scan and the two others on the chain kernel.
+    scanned = []
+    scan = positions._two_block_scan
+
+    def spy(perms, *chains):
+        scanned.append(perms.shape)
+        return scan(perms, *chains)
+
+    monkeypatch.setattr(positions, "_two_block_scan", spy)
+    n = 200
+    perms = sample_uniform_batch(n, seed=9, count=144)
+    for layout in ("{}|{},{}", "{},{}|{}"):
+        total = np.zeros(len(perms), dtype=np.int64)
+        for values in permutations((1, 2, 3)):
+            tau = parse_pattern(layout.format(*values))
+            total += count_rows(perms, tau, plan_count(n, tau))
+        assert total.tolist() == [position_count(n, tau)] * len(perms), layout
+    assert scanned == [(144, n)] * 8
 
 
 @settings(max_examples=200, deadline=None)
