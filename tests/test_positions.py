@@ -380,24 +380,30 @@ def test_scan_copies_past_int16(monkeypatch):
     assert scan.tolist() == count_occurrences_sweep(rows, parse_pattern("2|1")).tolist()
 
 
-def test_sweep_scans_thick_batches_only(monkeypatch):
-    # 72 rows at n = 1600 are thick (72^3 * 1600 >= 2^29), 8 rows are not,
-    # and three blocks always take _dominance.
-    calls = []
+@pytest.fixture
+def scans(monkeypatch):
+    """The shapes of the batches count_occurrences_sweep hands the scan."""
+    shapes = []
     scan = positions._two_block_scan
 
     def spy(perms, *chains):
-        calls.append(perms.shape)
+        shapes.append(perms.shape)
         return scan(perms, *chains)
 
     monkeypatch.setattr(positions, "_two_block_scan", spy)
+    return shapes
+
+
+def test_sweep_scans_thick_batches_only(scans):
+    # 72 rows at n = 1600 are thick (72^3 * 1600 >= 2^29), 8 rows are not,
+    # and three blocks always take _dominance.
     perms = sample_uniform_batch(1600, seed=2, count=72)
     p = parse_pattern("3|1,2")
     thick = count_occurrences_sweep(perms, p)
-    assert calls == [(72, 1600)]
+    assert scans == [(72, 1600)]
     thin = [count_occurrences_sweep(perms[lo : lo + 8], p) for lo in range(0, 72, 8)]
     count_occurrences_sweep(perms, parse_pattern("1|2|3"))
-    assert calls == [(72, 1600)]
+    assert scans == [(72, 1600)]
     assert thick.tolist() == np.concatenate(thin).tolist()
 
 
@@ -409,19 +415,11 @@ def test_byte_popcount_counts_set_bits():
     assert positions._byte_popcount(words).tolist() == [bin(int(w)).count("1") for w in words]
 
 
-def test_counts_over_all_value_orders_sum_to_the_position_count(monkeypatch):
+def test_counts_over_all_value_orders_sum_to_the_position_count(scans):
     # Every admissible position set reduces to exactly one value order, so
     # for one composition the six counts of a row sum to position_count.
     # At n = 200, 144 rows put the four path-shaped orders of each
     # composition on the scan and the two others on the chain kernel.
-    scanned = []
-    scan = positions._two_block_scan
-
-    def spy(perms, *chains):
-        scanned.append(perms.shape)
-        return scan(perms, *chains)
-
-    monkeypatch.setattr(positions, "_two_block_scan", spy)
     n = 200
     perms = sample_uniform_batch(n, seed=9, count=144)
     for layout in ("{}|{},{}", "{},{}|{}"):
@@ -430,7 +428,7 @@ def test_counts_over_all_value_orders_sum_to_the_position_count(monkeypatch):
             tau = parse_pattern(layout.format(*values))
             total += count_rows(perms, tau, plan_count(n, tau))
         assert total.tolist() == [position_count(n, tau)] * len(perms), layout
-    assert scanned == [(144, n)] * 8
+    assert scans == [(144, n)] * 8
 
 
 @settings(max_examples=200, deadline=None)
