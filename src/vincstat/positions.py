@@ -421,7 +421,7 @@ def count_occurrences_sweep(perms: np.ndarray, pattern: VincularPattern) -> np.n
     step.  Blocks whose values fall with position are swept in the
     complement values n+1-sigma, where they rise.  Each step is a
     weighted dominance count (_dominance), about n^1.5 cells per row,
-    over equal row sub-chunks of at most _SWEEP_CELLS histogram cells.
+    over row sub-chunks of at most _SWEEP_CELLS histogram cells.
 
     A two-block pattern (j = 2) needs only the row sums of W_2, whose
     weights W_1 = M_1 are 0 or 1.  On a thick batch, rows^3 * n at least
@@ -453,11 +453,9 @@ def count_occurrences_sweep(perms: np.ndarray, pattern: VincularPattern) -> np.n
     ]
     if len(chains) == 2 and m**3 * n >= _SCAN_MIN:
         return _two_block_scan(perms, *chains, falling)
-    # Equal sub-chunks of at most _SWEEP_CELLS histogram cells.
-    parts = -(-m // max(1, _SWEEP_CELLS // (n + 1)))
-    bounds = [i * m // parts for i in range(parts + 1)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        v = perms[lo:hi].astype(np.intp)
+    step = max(1, _SWEEP_CELLS // (n + 1))
+    for lo in range(0, m, step):
+        v = perms[lo : lo + step].astype(np.intp)
         if falling:
             v = n + 1 - v
         weight = _window_match(v, chains[0]).astype(np.int64)
@@ -466,7 +464,7 @@ def count_occurrences_sweep(perms: np.ndarray, pattern: VincularPattern) -> np.n
             x = v[:, prev[-1] : prev[-1] + weight.shape[1]]
             y = v[:, nxt[0] : nxt[0] + match.shape[1]]
             weight = match * _dominance(x, weight, y, len(prev), n)
-        counts[lo:hi] = weight.sum(axis=1)
+        counts[lo : lo + step] = weight.sum(axis=1)
     return counts
 
 
