@@ -385,7 +385,6 @@ def _two_block_scan(
     words = np.zeros(width * rows, dtype=np.uint64)
     lower = np.zeros((width, rows), dtype=v.dtype)
     edges = (64 * np.arange(width, dtype=v.dtype))[:, None]
-    counted = lower.ravel()
     cols = np.arange(rows)
     total = np.zeros(rows, dtype=np.int64)
     for t in range(len(first), n - len(second) + 1):
@@ -400,7 +399,7 @@ def _two_block_scan(
         if len(second) > 1:
             y = np.where(_window_at(v, t, second), y, 0)
         at = word_at.take(y) + cols
-        total += counted.take(at)
+        total += lower.take(at)
         total += _popcount(words.take(at) & under.take(y))
     return total
 
