@@ -247,6 +247,7 @@ _SWEEP_CELLS = 2**16
 # this; see count_occurrences_sweep for the measured crossover.
 _SCAN_MIN = 2**29
 
+
 @cache
 def _byte_bits() -> np.ndarray:
     # Set bits of every byte value, built on first use: built at import,
