@@ -225,8 +225,9 @@ def run_experiment(
     is asked for the variance.  Where exact_variance_at refuses the
     pattern as beyond the exact-moment limit (raised to at least k=6 by
     unsafe), sample moments standardize instead, as the report records.
-    The samples are drawn in chunks of at most _CHUNK samples and
-    _CHUNK_CELLS permutation entries.  Every chunk is counted by
+    The samples are drawn in the fewest chunks of at most _CHUNK samples
+    and _CHUNK_CELLS permutation entries, their sizes differing by at most
+    one.  Every chunk is counted by
     positions.count_rows and reduced to (value, frequency) pairs, which
     are merged; no array of m counts is built.  Output is identical for
     every thread count.  At most min(threads, chunks, CPUs in the
@@ -246,11 +247,13 @@ def run_experiment(
         var_q = None  # beyond the exact-moment limit
     if var_q is not None and var_q <= 0:
         raise DegenerateInput(f"exact variance is {var_q} at n={n}; nothing to standardize")
-    chunk = max(1, min(_CHUNK, _CHUNK_CELLS // n))
-    chunks = -(-m // chunk)
+    chunks = -(-m // max(1, min(_CHUNK, _CHUNK_CELLS // n)))
+    # Equal chunks, the first m % chunks of them one sample longer, so
+    # none is a thin remainder.
+    size, longer = divmod(m, chunks)
     tasks = (
-        (pattern, n, seed, start, min(chunk, m - start), plan)
-        for start in range(0, m, chunk)
+        (pattern, n, seed, i * size + min(i, longer), size + (i < longer), plan)
+        for i in range(chunks)
     )
     # With the fork start method every worker is forked at the first
     # submit, whether or not a task is left for it.

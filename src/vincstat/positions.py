@@ -15,7 +15,9 @@ count_rows applies it.  The sweep, count_occurrences_sweep, serves
 path-shaped patterns (is_path_shaped: blocks whose values are intervals,
 monotone in position; every window pattern is one), whose conditions
 chain block to block: j-1 dominance steps over positions count them with
-no position matrix.  A two-block pattern over many host rows takes one
+no position matrix.  A window pattern (j = 1) takes no step: its count is
+a row sum of k-1 comparisons, made on the host rows in the integer dtype
+they come in.  A two-block pattern over many host rows takes one
 bit-parallel scan of about n^2/64 word operations per row; otherwise
 each step costs about n^1.5 cells per row.  The chain
 kernel, count_occurrences_batch, tests every set of a position_matrix
@@ -303,12 +305,15 @@ def _check_sweep_size(n: int, pattern: VincularPattern) -> None:
             )
 
 
-def _window_match(v: np.ndarray, chain: list[int]) -> np.ndarray:
-    # Start s matches when v[s + chain[0]] < v[s + chain[1]] < ...
+def _window_match(v: np.ndarray, chain: list[int], falling: bool) -> np.ndarray:
+    # Start s matches when v[s + chain[0]] < v[s + chain[1]] < ..., or >
+    # throughout when falling: the rows as given, in any integer dtype,
+    # so a falling block needs no complement n+1-v.
     span = v.shape[1] - len(chain) + 1
     ok = np.ones((v.shape[0], span), dtype=bool)
     for lo, hi in zip(chain, chain[1:]):
-        ok &= v[:, lo : lo + span] < v[:, hi : hi + span]
+        a, b = v[:, lo : lo + span], v[:, hi : hi + span]
+        ok &= a > b if falling else a < b
     return ok
 
 
@@ -418,10 +423,14 @@ def count_occurrences_sweep(perms: np.ndarray, pattern: VincularPattern) -> np.n
         W_{i+1}(t) = M_{i+1}(t) * sum over s <= t - b_i of
                      W_i(s) * [sigma(s + argmax_i) < sigma(t + argmin_{i+1})],
     and the count is the sum of W_j; a window pattern (j = 1) takes no
-    step.  Blocks whose values fall with position are swept in the
-    complement values n+1-sigma, where they rise.  Each step is a
-    weighted dominance count (_dominance), about n^1.5 cells per row,
-    over row sub-chunks of at most _SWEEP_CELLS histogram cells.
+    step.  The window tests M_i read the rows as given, in their integer
+    dtype, and a pattern whose values fall with position is tested with
+    reversed comparisons; each row's W_j is summed straight into the int64
+    counts.  Only the slices a step indexes are copied, widened to intp
+    and, for a falling pattern, complemented to n+1-sigma, where its
+    blocks rise.  Each step is a weighted dominance count (_dominance),
+    about n^1.5 cells per row, over row sub-chunks of at most
+    _SWEEP_CELLS histogram cells.
 
     A two-block pattern (j = 2) needs only the row sums of W_2, whose
     weights W_1 = M_1 are 0 or 1.  On a thick batch, rows^3 * n at least
@@ -455,16 +464,20 @@ def count_occurrences_sweep(perms: np.ndarray, pattern: VincularPattern) -> np.n
         return _two_block_scan(perms, *chains, falling)
     step = max(1, _SWEEP_CELLS // (n + 1))
     for lo in range(0, m, step):
-        v = perms[lo : lo + step].astype(np.intp)
-        if falling:
-            v = n + 1 - v
-        weight = _window_match(v, chains[0]).astype(np.int64)
+        rows = perms[lo : lo + step]
+        weight = _window_match(rows, chains[0], falling)
         for prev, nxt in zip(chains, chains[1:]):
-            match = _window_match(v, nxt)
-            x = v[:, prev[-1] : prev[-1] + weight.shape[1]]
-            y = v[:, nxt[0] : nxt[0] + match.shape[1]]
-            weight = match * _dominance(x, weight, y, len(prev), n)
-        counts[lo : lo + step] = weight.sum(axis=1)
+            match = _window_match(rows, nxt, falling)
+            # The values the step indexes its histogram by, widened
+            # before any complement.
+            x = rows[:, prev[-1] : prev[-1] + weight.shape[1]].astype(np.intp)
+            y = rows[:, nxt[0] : nxt[0] + match.shape[1]].astype(np.intp)
+            if falling:
+                x, y = n + 1 - x, n + 1 - y
+            # einsum over two bool operands would return bool: the first
+            # weight enters as int64.
+            weight = match * _dominance(x, weight.astype(np.int64, copy=False), y, len(prev), n)
+        weight.sum(axis=1, out=counts[lo : lo + step])
     return counts
 
 

@@ -245,7 +245,7 @@ def test_merge_work_stays_linear_in_the_pairs(monkeypatch):
 
 def test_run_experiment_deterministic_and_thread_invariant(monkeypatch):
     # m spans four sampling chunks, so two and three workers really split
-    # the work (the last chunk holds a single sample).  Three CPUs in the
+    # the work (one chunk of 3073 samples and three of 3072).  Three CPUs in the
     # mask, so that three workers start on a smaller machine too.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     p = parse_pattern("2,1")
@@ -471,6 +471,27 @@ def test_chunk_cell_bound_leaves_reports_alone(monkeypatch, text):
     monkeypatch.setattr(montecarlo, "_count_chunk", recording)
     assert run_experiment(p, n=50, m=300, seed=8, threads=1) == whole
     assert seen == [10] * 30
+
+
+@pytest.mark.parametrize("text", ["3|1,2", "2,1"])
+def test_chunks_are_equal_and_leave_reports_alone(monkeypatch, text):
+    # At most 81 rows a chunk (n = 6400's 2^19 // n, here as a cell
+    # budget at n = 100) cut 200 samples into 67, 67 and 66, not 81, 81
+    # and 38; the report equals the one from a single chunk.
+    p = parse_pattern(text)
+    monkeypatch.setattr(montecarlo, "_CHUNK_CELLS", 2**30)
+    whole = run_experiment(p, n=100, m=200, seed=4, threads=1)
+    monkeypatch.setattr(montecarlo, "_CHUNK_CELLS", 81 * 100)
+    seen = []
+    count_chunk = montecarlo._count_chunk
+
+    def recording(args):
+        seen.append(args[3:5])
+        return count_chunk(args)
+
+    monkeypatch.setattr(montecarlo, "_count_chunk", recording)
+    assert run_experiment(p, n=100, m=200, seed=4, threads=1) == whole
+    assert seen == [(0, 67), (67, 67), (134, 66)]
 
 
 def test_sweep_path_size_guards(monkeypatch):

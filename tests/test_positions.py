@@ -15,6 +15,8 @@ from vincstat.errors import (
 )
 from vincstat.patterns import (
     Permutation,
+    VincularPattern,
+    composition_to_adjacencies,
     iter_patterns,
     parse_pattern,
     reduce_sequence,
@@ -378,6 +380,98 @@ def test_scan_copies_past_int16(monkeypatch):
     scan = count_occurrences_sweep(rows.astype(np.uint8), parse_pattern("2|1"))
     monkeypatch.undo()
     assert scan.tolist() == count_occurrences_sweep(rows, parse_pattern("2|1")).tolist()
+
+
+_WINDOWS = [p for k in range(1, 6) for p in iter_patterns(k) if p.block_count == 1]
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int32, np.int64])
+def test_window_counts_read_the_rows_as_given(dtype):
+    # Every window pattern with k <= 5 (k = 1 included) at every n <= 12,
+    # on rows of each integer dtype, against the chain kernel; n = 9
+    # also against the window scan.  Counts come back as int64.
+    assert len(_WINDOWS) == 1 + 2 + 6 + 24 + 120
+    for n in range(1, 13):
+        perms = sample_uniform_batch(n, seed=n, count=40)
+        for p in _WINDOWS:
+            counts = count_occurrences_sweep(perms.astype(dtype), p)
+            assert counts.dtype == np.int64
+            if n >= p.size:
+                chain = count_occurrences_batch(perms, p, position_matrix(n, p))
+            else:
+                chain = np.zeros(len(perms), dtype=np.int64)
+            assert counts.tolist() == chain.tolist(), (p, n)
+            if n == 9:
+                scan = [_window_scan(Permutation(tuple(map(int, row))), p) for row in perms[:4]]
+                assert counts[:4].tolist() == scan, p
+
+
+def test_falling_windows_on_uint8_rows_at_n_255():
+    # n + 1 = 256 does not fit in uint8, so a complement n+1-sigma taken in
+    # the rows' dtype would wrap; the falling comparisons need none.
+    n = 255
+    perms = sample_uniform_batch(n, seed=6, count=30)
+    assert perms.max() == n
+    for text in ("2,1", "3,2,1", "2,3,1", "3,1,2", "4,3,2,1", "5,2,4,1,3"):
+        p = parse_pattern(text)
+        assert p.order.values[0] > p.order.values[-1]  # falling
+        counts = count_occurrences_sweep(perms.astype(np.uint8), p)
+        chain = count_occurrences_batch(perms, p, position_matrix(n, p))
+        assert counts.dtype == np.int64
+        assert counts.tolist() == chain.tolist(), text
+    # Falling patterns of several blocks complement the slices a
+    # _dominance step reads, after widening them.
+    for text in ("2|1", "3|2,1", "3|2|1"):
+        p = parse_pattern(text)
+        counts = count_occurrences_sweep(perms.astype(np.uint8), p)
+        assert counts.tolist() == count_occurrences_sweep(perms.astype(np.int64), p).tolist(), text
+
+
+def _reverse(p: VincularPattern) -> VincularPattern:
+    return VincularPattern(
+        Permutation(p.order.values[::-1]), composition_to_adjacencies(p.blocks[::-1])
+    )
+
+
+def _complement(p: VincularPattern) -> VincularPattern:
+    k = p.size
+    return VincularPattern(Permutation(tuple(k + 1 - v for v in p.order.values)), p.adjacencies)
+
+
+def _counts(perms: np.ndarray, p: VincularPattern) -> list[int]:
+    return count_rows(perms, p, plan_count(perms.shape[1], p)).tolist()
+
+
+def test_counts_are_invariant_under_reverse_and_complement():
+    # pi occurs in sigma at a position set exactly where reverse(pi)
+    # occurs in reverse(sigma) at the mirrored set, and complement(pi) in
+    # n+1-sigma; the maps take sweep-covered shapes to sweep-covered ones
+    # and the rest to the chain kernel.  Every pattern with k <= 4.
+    patterns = [p for k in range(1, 5) for p in iter_patterns(k)]
+    for n in range(1, 11):
+        perms = sample_uniform_batch(n, seed=20 + n, count=12)
+        mirrored, flipped = perms[:, ::-1], n + 1 - perms
+        for p in patterns:
+            counts = _counts(perms, p)
+            assert _counts(mirrored, _reverse(p)) == counts, (p, n)
+            assert _counts(flipped, _complement(p)) == counts, (p, n)
+
+
+def test_reverse_and_complement_tie_the_counters_together_at_n_300():
+    # 128 rows at n = 300 are a thick batch, so 3|1,2 and its images are
+    # scanned; the images are counted again in 8-row slices, on
+    # _dominance.  The windows run the rising and the falling mask, and
+    # 1|2|3 and 3|2|1 the _dominance steps on raw and complemented values.
+    n = 300
+    perms = sample_uniform_batch(n, seed=11, count=128)
+    mirrored, flipped = perms[:, ::-1], n + 1 - perms
+    for text in ("2,1", "3,2,1", "3|1,2", "1|2|3"):
+        p = parse_pattern(text)
+        counts = _counts(perms, p)
+        for rows, image in ((mirrored, _reverse(p)), (flipped, _complement(p))):
+            assert _counts(rows, image) == counts, (text, image)
+            thin = [_counts(rows[lo : lo + 8], image) for lo in range(0, len(rows), 8)]
+            assert sum(thin, []) == counts, (text, image)
 
 
 @pytest.fixture
