@@ -15,9 +15,10 @@ count_rows applies it.  The sweep, count_occurrences_sweep, serves
 path-shaped patterns (is_path_shaped: blocks whose values are intervals,
 monotone in position; every window pattern is one), whose conditions
 chain block to block: j-1 dominance steps over positions count them with
-no position matrix.  A window pattern (j = 1) takes no step: its count is
-a row sum of k-1 comparisons, made on the host rows in the integer dtype
-they come in.  A two-block pattern over many host rows takes one
+no position matrix; a pattern whose blocks fall is swept as its reverse
+on the mirrored rows.  A window pattern (j = 1) takes no step: its count
+is a row sum of k-1 comparisons, made on the host rows in the integer
+dtype they come in.  A two-block pattern over many host rows takes one
 bit-parallel scan of about n^2/64 word operations per row; otherwise
 each step costs about n^1.5 cells per row.  The chain
 kernel, count_occurrences_batch, tests every set of a position_matrix
@@ -284,36 +285,44 @@ def is_path_shaped(pattern: VincularPattern) -> bool:
     return lows == sorted(lows) or lows == sorted(lows, reverse=True)
 
 
+def _rising_blocks(pattern: VincularPattern) -> tuple[tuple[tuple[int, ...], ...], bool]:
+    """The block values the sweep runs, rising from block to block, and
+    whether it runs them on the mirrored rows: a pattern whose blocks fall
+    occurs in sigma exactly where its reverse occurs in sigma reversed."""
+    blocks = pattern.block_values
+    if len(blocks) > 1 and min(blocks[0]) > min(blocks[-1]):
+        return tuple(block[::-1] for block in reversed(blocks)), True
+    return blocks, False
+
+
 def _check_sweep_size(n: int, pattern: VincularPattern) -> None:
     """Refuse a sweep that the limits do not allow: more window starts
     n-k+1 than the listing cap (for a window pattern, exactly its
     position sets), or DP weights that could overflow int64.  After
-    block i a weight counts placements of the first i blocks, at most
-    binom(n - (b_1 + ... + b_i) + i, i); the last of these bounds is
-    position_count."""
+    block i of _rising_blocks a weight counts placements of the first i
+    blocks, at most binom(n - (b_1 + ... + b_i) + i, i); the last of
+    these bounds is position_count."""
     cap = config.listing_cap()
     if n - pattern.size + 1 > cap:
         raise SizeLimitExceeded(
             f"{n - pattern.size + 1} window starts exceed the listing cap of {cap}"
         )
     used = 0
-    for i, b in enumerate(pattern.blocks, start=1):
-        used += b
+    for i, block in enumerate(_rising_blocks(pattern)[0], start=1):
+        used += len(block)
         if comb(max(0, n - used + i), i) > _INT64_MAX:
             raise SizeLimitExceeded(
                 f"placements of {format_pattern(pattern)} at n={n} overflow int64"
             )
 
 
-def _window_match(v: np.ndarray, chain: list[int], falling: bool) -> np.ndarray:
-    # Start s matches when v[s + chain[0]] < v[s + chain[1]] < ..., or >
-    # throughout when falling: the rows as given, in any integer dtype,
-    # so a falling block needs no complement n+1-v.
+def _window_match(v: np.ndarray, chain: list[int]) -> np.ndarray:
+    # Start s matches when v[s + chain[0]] < v[s + chain[1]] < ..., on the
+    # rows as given, in any integer dtype.
     span = v.shape[1] - len(chain) + 1
     ok = np.ones((v.shape[0], span), dtype=bool)
     for lo, hi in zip(chain, chain[1:]):
-        a, b = v[:, lo : lo + span], v[:, hi : hi + span]
-        ok &= a > b if falling else a < b
+        ok &= v[:, lo : lo + span] < v[:, hi : hi + span]
     return ok
 
 
@@ -357,32 +366,26 @@ def _window_at(v: np.ndarray, start: int, chain: list[int]) -> np.ndarray:
     return ok
 
 
-def _two_block_scan(
-    perms: np.ndarray, first: list[int], second: list[int], falling: bool
-) -> np.ndarray:
-    """Counts of a two-block path-shaped pattern in each row of perms, by
-    one left-to-right scan over all rows at once.
+def _two_block_scan(perms: np.ndarray, first: list[int], second: list[int]) -> np.ndarray:
+    """Counts, in each row of perms, of a two-block pattern whose blocks
+    rise, by one left-to-right scan over all rows at once.
 
-    first and second hold each block's offsets in increasing swept value
-    (count_occurrences_sweep's chains), and a row counts
+    first and second hold each block's offsets in increasing value
+    (count_occurrences_sweep's chains), and a row v counts
         sum over t of M_2(t) * sum over s <= t - b_1 of
-        M_1(s) * [v(s + first[-1]) < v(t + second[0])],
-    with v the row's swept values (n+1-sigma when falling).  The rows are
-    copied once, transposed and swept, so each position is one contiguous
-    row slice.  Per row, the sources passed so far are a bitset of their
-    values in (n+1)//64 + 1 uint64 words, and for each word the number of
-    them in the words below it: target y reads lower[word(y)] plus the
-    popcount of word(y) under y.  A source whose window fails enters as
-    n+1, above every target, and a target whose window fails reads as 0,
-    below every source, so no weights are kept.  The words and counts are
-    (words, rows) arrays, so every step runs along the rows.
+        M_1(s) * [v(s + first[-1]) < v(t + second[0])].
+    The rows are copied once, transposed, into a dtype that holds n+1, so
+    each position is one contiguous row slice.  Per row, the sources
+    passed so far are a bitset of their values in (n+1)//64 + 1 uint64
+    words, and for each word the number of them in the words below it:
+    target y reads lower[word(y)] plus the popcount of word(y) under y.
+    A source whose window fails enters as n+1, above every target, and a
+    target whose window fails reads as 0, below every source, so no
+    weights are kept.  The words and counts are (words, rows) arrays, so
+    every step runs along the rows.
     """
     rows, n = perms.shape
-    v = np.empty((n, rows), dtype=np.int16 if n < 2**15 - 1 else np.int32)
-    if falling:
-        np.subtract(n + 1, perms.T, out=v, dtype=v.dtype, casting="unsafe")
-    else:
-        v[...] = perms.T
+    v = np.ascontiguousarray(perms.T, dtype=np.int16 if n < 2**15 - 1 else np.int32)
     width = (n + 1) // 64 + 1
     values = np.arange(n + 2)
     word_at = (values >> 6) * rows  # flat offset of each value's word in row 0
@@ -423,14 +426,12 @@ def count_occurrences_sweep(perms: np.ndarray, pattern: VincularPattern) -> np.n
         W_{i+1}(t) = M_{i+1}(t) * sum over s <= t - b_i of
                      W_i(s) * [sigma(s + argmax_i) < sigma(t + argmin_{i+1})],
     and the count is the sum of W_j; a window pattern (j = 1) takes no
-    step.  The window tests M_i read the rows as given, in their integer
-    dtype, and a pattern whose values fall with position is tested with
-    reversed comparisons; each row's W_j is summed straight into the int64
-    counts.  Only the slices a step indexes are copied, widened to intp
-    and, for a falling pattern, complemented to n+1-sigma, where its
-    blocks rise.  Each step is a weighted dominance count (_dominance),
-    about n^1.5 cells per row, over row sub-chunks of at most
-    _SWEEP_CELLS histogram cells.
+    step.  The blocks rise: a pattern whose blocks fall runs as its
+    reverse on perms[:, ::-1], a view (_rising_blocks).  The window tests
+    and the steps read the rows as given, in their integer dtype, and
+    each row's W_j is summed straight into the int64 counts.  Each step
+    is a weighted dominance count (_dominance), about n^1.5 cells per
+    row, over row sub-chunks of at most _SWEEP_CELLS histogram cells.
 
     A two-block pattern (j = 2) needs only the row sums of W_2, whose
     weights W_1 = M_1 are 0 or 1.  On a thick batch, rows^3 * n at least
@@ -454,26 +455,21 @@ def count_occurrences_sweep(perms: np.ndarray, pattern: VincularPattern) -> np.n
     counts = np.zeros(m, dtype=np.int64)
     if n < pattern.size:
         return counts
-    falling = pattern.order.values[0] > pattern.order.values[-1]
-    # Each block's offsets in increasing swept value: first argmin, last argmax.
-    chains = [
-        sorted(range(len(block)), key=lambda o: -block[o] if falling else block[o])
-        for block in pattern.block_values
-    ]
+    blocks, mirrored = _rising_blocks(pattern)
+    if mirrored:
+        perms = perms[:, ::-1]
+    # Each block's offsets in increasing value: first argmin, last argmax.
+    chains = [sorted(range(len(block)), key=block.__getitem__) for block in blocks]
     if len(chains) == 2 and m**3 * n >= _SCAN_MIN:
-        return _two_block_scan(perms, *chains, falling)
+        return _two_block_scan(perms, *chains)
     step = max(1, _SWEEP_CELLS // (n + 1))
     for lo in range(0, m, step):
         rows = perms[lo : lo + step]
-        weight = _window_match(rows, chains[0], falling)
+        weight = _window_match(rows, chains[0])
         for prev, nxt in zip(chains, chains[1:]):
-            match = _window_match(rows, nxt, falling)
-            # The values the step indexes its histogram by, widened
-            # before any complement.
-            x = rows[:, prev[-1] : prev[-1] + weight.shape[1]].astype(np.intp)
-            y = rows[:, nxt[0] : nxt[0] + match.shape[1]].astype(np.intp)
-            if falling:
-                x, y = n + 1 - x, n + 1 - y
+            match = _window_match(rows, nxt)
+            x = rows[:, prev[-1] : prev[-1] + weight.shape[1]]
+            y = rows[:, nxt[0] : nxt[0] + match.shape[1]]
             # einsum over two bool operands would return bool: the first
             # weight enters as int64.
             weight = match * _dominance(x, weight.astype(np.int64, copy=False), y, len(prev), n)

@@ -375,7 +375,8 @@ def test_scan_copies_past_int16(monkeypatch):
     scan = count_occurrences_sweep(rows.astype(np.int32), p)
     assert scan.tolist() == thin.tolist()
     assert scan[:2].tolist() == [position_count(n, p), 0]
-    # The complement n+1-sigma is taken in the copy's dtype, not the rows'.
+    # 2|1 is scanned as 1|2 on the mirrored uint8 rows; the copy is int16,
+    # which holds the dead source n+1 = 256 that uint8 could not.
     rows = sample_uniform_batch(255, seed=5, count=4)
     scan = count_occurrences_sweep(rows.astype(np.uint8), parse_pattern("2|1"))
     monkeypatch.undo()
@@ -406,9 +407,10 @@ def test_window_counts_read_the_rows_as_given(dtype):
                 assert counts[:4].tolist() == scan, p
 
 
-def test_falling_windows_on_uint8_rows_at_n_255():
-    # n + 1 = 256 does not fit in uint8, so a complement n+1-sigma taken in
-    # the rows' dtype would wrap; the falling comparisons need none.
+def test_falling_windows_on_uint8_rows_at_n_255(monkeypatch):
+    # n + 1 = 256 does not fit in uint8, so nothing may compute n+1-sigma
+    # in the rows' dtype; a falling window compares its entries in
+    # ascending value order on the rows as they are.
     n = 255
     perms = sample_uniform_batch(n, seed=6, count=30)
     assert perms.max() == n
@@ -419,12 +421,20 @@ def test_falling_windows_on_uint8_rows_at_n_255():
         chain = count_occurrences_batch(perms, p, position_matrix(n, p))
         assert counts.dtype == np.int64
         assert counts.tolist() == chain.tolist(), text
-    # Falling patterns of several blocks complement the slices a
-    # _dominance step reads, after widening them.
-    for text in ("2|1", "3|2,1", "3|2|1"):
+    # The _dominance steps read their row slices in the rows' own dtype,
+    # mirrored for a pattern whose blocks fall.  Two-block patterns are
+    # counted once more by the scan.
+    for text in ("1|2", "1,2|3", "1|2|3", "2,1|3|4", "2|1", "3|2,1", "3|2|1"):
         p = parse_pattern(text)
-        counts = count_occurrences_sweep(perms.astype(np.uint8), p)
-        assert counts.tolist() == count_occurrences_sweep(perms.astype(np.int64), p).tolist(), text
+        expected = count_occurrences_sweep(perms.astype(np.int64), p).tolist()
+        for dtype in (np.uint8, np.int16, np.int32, np.int64):
+            counts = count_occurrences_sweep(perms.astype(dtype), p)
+            assert counts.tolist() == expected, (text, dtype)
+            if p.block_count == 2:
+                with monkeypatch.context() as scan_all:
+                    scan_all.setattr(positions, "_SCAN_MIN", 0)
+                    scan = count_occurrences_sweep(perms.astype(dtype), p)
+                    assert scan.tolist() == expected, (text, dtype)
 
 
 def _reverse(p: VincularPattern) -> VincularPattern:
@@ -457,11 +467,24 @@ def test_counts_are_invariant_under_reverse_and_complement():
             assert _counts(flipped, _complement(p)) == counts, (p, n)
 
 
+def test_sweep_runs_the_blocks_rising():
+    # The one orientation the sweep runs in: each block's values below the
+    # next block's, the pattern's own blocks when they already rise and
+    # its reverse's, counted on the mirrored rows, when they fall.
+    for p in (p for k in range(1, 6) for p in iter_patterns(k) if is_path_shaped(p)):
+        blocks, mirrored = positions._rising_blocks(p)
+        assert all(max(a) < min(b) for a, b in zip(blocks, blocks[1:])), p
+        own = p.block_values
+        rises = all(max(a) < min(b) for a, b in zip(own, own[1:]))
+        assert mirrored is not rises, p
+        assert blocks == (own if rises else _reverse(p).block_values), p
+
+
 def test_reverse_and_complement_tie_the_counters_together_at_n_300():
     # 128 rows at n = 300 are a thick batch, so 3|1,2 and its images are
     # scanned; the images are counted again in 8-row slices, on
-    # _dominance.  The windows run the rising and the falling mask, and
-    # 1|2|3 and 3|2|1 the _dominance steps on raw and complemented values.
+    # _dominance.  The windows rise and fall, and 1|2|3 and 3|2|1 run the
+    # _dominance steps on rows as given and on mirrored rows.
     n = 300
     perms = sample_uniform_batch(n, seed=11, count=128)
     mirrored, flipped = perms[:, ::-1], n + 1 - perms
