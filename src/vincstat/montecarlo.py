@@ -29,7 +29,7 @@ from .errors import DegenerateInput, EmptySample, PatternTooSmall, SizeLimitExce
 from .moments import exact_variance_at, expectation
 from .patterns import VincularPattern, format_pattern
 from .positions import count_rows, plan_count
-from .sampling import sample_uniform_batch
+from .sampling import sample_uniform_batch, shuffle_block_rows
 
 __all__ = [
     "CumulantEstimates",
@@ -43,7 +43,8 @@ __all__ = [
 
 _CHUNK = 4096  # at most this many samples per generation/counting chunk;
                # rows are seeded by their index, so chunking only bounds
-               # memory and sets the parallel grain
+               # memory, sets the parallel grain and, with chunks cut on
+               # shuffle blocks, draws no row twice
 _CHUNK_CELLS = 2**19  # and at most this many permutation entries per
                       # chunk: fewer samples once n > 128
 
@@ -226,8 +227,11 @@ def run_experiment(
     pattern as beyond the exact-moment limit (raised to at least k=6 by
     unsafe), sample moments standardize instead, as the report records.
     The samples are drawn in the fewest chunks of at most _CHUNK samples
-    and _CHUNK_CELLS permutation entries, their sizes differing by at most
-    one.  Every chunk is counted by
+    and _CHUNK_CELLS permutation entries.  Chunks are cut on the shuffle
+    sampler's blocks of B = sampling.shuffle_block_rows(n) rows, so no
+    chunk redraws a row another chunk drew, and their sizes differ by at
+    most B (by at most one when B = 1).  Should a block not fit the caps,
+    the chunks are cut by the sample instead.  Every chunk is counted by
     positions.count_rows and reduced to (value, frequency) pairs, which
     are merged; no array of m counts is built.  Output is identical for
     every thread count.  At most min(threads, chunks, CPUs in the
@@ -247,12 +251,21 @@ def run_experiment(
         var_q = None  # beyond the exact-moment limit
     if var_q is not None and var_q <= 0:
         raise DegenerateInput(f"exact variance is {var_q} at n={n}; nothing to standardize")
-    chunks = -(-m // max(1, min(_CHUNK, _CHUNK_CELLS // n)))
-    # Equal chunks, the first m % chunks of them one sample longer, so
-    # none is a thin remainder.
-    size, longer = divmod(m, chunks)
+    cap = max(1, min(_CHUNK, _CHUNK_CELLS // n))
+    grain = shuffle_block_rows(n)
+    if grain > cap:
+        grain = 1
+    units = -(-m // grain)  # the last may be short of a whole grain
+    chunks = -(-units // (cap // grain))
+    # Equal chunks, the first units % chunks of them one grain longer, so
+    # none is a thin remainder.  When the last grain is short, the last
+    # chunk takes one of those extra grains instead.
+    size, longer = divmod(units, chunks)
+    if longer and units * grain > m:
+        longer -= 1
+    starts = [grain * (i * size + min(i, longer)) for i in range(chunks)] + [m]
     tasks = (
-        (pattern, n, seed, i * size + min(i, longer), size + (i < longer), plan)
+        (pattern, n, seed, starts[i], starts[i + 1] - starts[i], plan)
         for i in range(chunks)
     )
     # With the fork start method every worker is forked at the first

@@ -428,10 +428,11 @@ def count_occurrences_sweep(perms: np.ndarray, pattern: VincularPattern) -> np.n
     and the count is the sum of W_j; a window pattern (j = 1) takes no
     step.  The blocks rise: a pattern whose blocks fall runs as its
     reverse on perms[:, ::-1], a view (_rising_blocks).  The window tests
-    and the steps read the rows as given, in their integer dtype, and
-    each row's W_j is summed straight into the int64 counts.  Each step
-    is a weighted dominance count (_dominance), about n^1.5 cells per
-    row, over row sub-chunks of at most _SWEEP_CELLS histogram cells.
+    and the steps read the rows as given, in their integer dtype.  Each
+    row's W_j is summed into the int64 counts, a window mask (j = 1) in
+    int32 first.  Each step is a weighted dominance count (_dominance),
+    about n^1.5 cells per row, over row sub-chunks of at most
+    _SWEEP_CELLS histogram cells.
 
     A two-block pattern (j = 2) needs only the row sums of W_2, whose
     weights W_1 = M_1 are 0 or 1.  On a thick batch, rows^3 * n at least
@@ -473,7 +474,12 @@ def count_occurrences_sweep(perms: np.ndarray, pattern: VincularPattern) -> np.n
             # einsum over two bool operands would return bool: the first
             # weight enters as int64.
             weight = match * _dominance(x, weight.astype(np.int64, copy=False), y, len(prev), n)
-        weight.sum(axis=1, out=counts[lo : lo + step])
+        if len(chains) == 1:
+            # A bool sum would add in int64; a window's matches in a row
+            # are at most n - k + 1, which int32 holds, at half the cost.
+            counts[lo : lo + step] = weight.sum(axis=1, dtype=np.int32)
+        else:
+            weight.sum(axis=1, out=counts[lo : lo + step])
     return counts
 
 

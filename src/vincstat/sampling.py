@@ -2,17 +2,23 @@
 
 Randomness comes from the counter-based Philox generator, keyed by the
 pair (seed, stream word).  The stream word packs a small domain tag and a
-sample index, so every sample lives in its own substream determined
-entirely by (seed, tag, index): results never depend on how work is
-sharded across workers, and any single sample can be regenerated in
-isolation with substream().
+substream index, so every substream is determined entirely by (seed,
+tag, index): results never depend on how work is sharded across workers,
+and any single sample can be regenerated in isolation with substream().
 
-The batch samplers do not build a bit generator per sample.  Each batch
-builds one Philox and one Generator and, for every row, re-keys them
-through the Philox state dict: key word 1 becomes the row's stream word
-and the counter, output buffer and cached 32-bit half are reset.  The
-Generator then starts exactly where a fresh substream() would, so every
-row equals the one substream(seed, index, tag) gives.
+The reduction sampler draws sample i from substream i.  The shuffle
+sampler draws its samples in blocks of shuffle_block_rows(n) rows, about
+2^12 entries: sample i is the (i mod B)-th successive shuffle drawn from
+substream i // B, with B = shuffle_block_rows(n).  Past n = 2048 a block
+is one row, so sample i is the first shuffle of substream i.
+
+The batch samplers do not build a bit generator per substream.  Each
+batch builds one Philox and one Generator and re-keys them through the
+Philox state dict: key word 1 becomes the substream's stream word and the
+counter, output buffer and cached 32-bit half are reset.  The Generator
+then starts exactly where a fresh substream() would.  The shuffle sampler
+re-keys once per block and shuffles the block's rows with one
+Generator.permuted call.
 
 Two independent constructions of the uniform distribution are provided:
 an in-place shuffle, and reduction of i.i.d. uniforms (rank the draws).
@@ -35,6 +41,7 @@ __all__ = [
     "sample_by_reduction",
     "sample_uniform_batch",
     "sample_by_reduction_batch",
+    "shuffle_block_rows",
     "SHUFFLE_STREAM",
     "REDUCTION_STREAM",
     "NORMAL_STREAM",
@@ -50,18 +57,26 @@ NORMAL_STREAM = 2
 PINNED_STREAM = 4
 
 _BLOCK_CELLS = 1 << 16  # float entries per reduction block
+_SHUFFLE_CELLS = 1 << 12  # entries per shuffle block
+
+
+def shuffle_block_rows(n: int) -> int:
+    """Rows per shuffle block at size n: the shuffle sampler draws sample
+    i from substream i // shuffle_block_rows(n), so a block holds at most
+    _SHUFFLE_CELLS entries, and one row once n > _SHUFFLE_CELLS / 2."""
+    return max(1, _SHUFFLE_CELLS // n)
 
 
 def _check_key(seed: int, stream: int, first: int, count: int = 1) -> None:
-    """Range checks for the substreams first..first+count-1 of (seed,
-    stream): seeds must fit in 64 bits, indices in 56 bits (room for
-    ~7*10^16 samples per stream) and stream tags in the remaining 8."""
+    """Range checks for the indices first..first+count-1 of (seed,
+    stream), first itself even when count is 0: seeds must fit in 64
+    bits, indices in 56 bits (room for ~7*10^16 samples per stream) and
+    stream tags in the remaining 8."""
     if not 0 <= seed <= _MASK64:
         raise ValueError(f"seed {seed} outside 0..2^64-1")
-    last = first + count - 1
-    if first < 0 or last >= 1 << _INDEX_BITS:
-        bad = first if first < 0 else last
-        raise ValueError(f"sample index {bad} outside 0..2^{_INDEX_BITS}-1")
+    for index in (first, first + max(count, 1) - 1):
+        if not 0 <= index < 1 << _INDEX_BITS:
+            raise ValueError(f"sample index {index} outside 0..2^{_INDEX_BITS}-1")
     if not 0 <= stream < (1 << (64 - _INDEX_BITS)):
         raise ValueError(f"stream tag {stream} outside 0..2^{64 - _INDEX_BITS}-1")
 
@@ -70,26 +85,25 @@ def substream(seed: int, index: int, stream: int = 0) -> np.random.Generator:
     """Generator for the given (seed, index) substream.
 
     The Philox key is (seed, stream << 56 | index); see _check_key for
-    the ranges.
+    the ranges.  For SHUFFLE_STREAM, index numbers a block of
+    shuffle_block_rows(n) samples, not a sample.
     """
     _check_key(seed, stream, index)
     key = np.array([seed, (stream << _INDEX_BITS) | index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _rekeyer(
-    seed: int, stream: int, start: int, count: int
-) -> Callable[[int], np.random.Generator]:
-    """One Philox and Generator for the substreams start..start+count-1
-    of (seed, stream), built once.
+def _rekeyer(seed: int, stream: int) -> Callable[[int], np.random.Generator]:
+    """One Philox and Generator for the substreams of (seed, stream),
+    built once.
 
-    The returned function re-keys the Philox for a sample index (key word
-    1 becomes stream << 56 | index; the counter, the output buffer and
-    the cached 32-bit half are reset through its state dict) and returns
-    the same Generator, now in the state substream(seed, index, stream)
-    starts in.  Call it only with indices in the checked range.
+    The returned function re-keys the Philox for a substream index (key
+    word 1 becomes stream << 56 | index; the counter, the output buffer
+    and the cached 32-bit half are reset through its state dict) and
+    returns the same Generator, now in the state substream(seed, index,
+    stream) starts in.  The caller range-checks seed, stream and every
+    index with _check_key first.
     """
-    _check_key(seed, stream, start, count)
     key = [seed, 0]
     state = {
         "bit_generator": "Philox",
@@ -137,19 +151,34 @@ def sample_by_reduction(n: int, seed: int, index: int = 0) -> Permutation:
 
 def sample_uniform_batch(n: int, seed: int, count: int, start: int = 0) -> np.ndarray:
     """(count, n) array of shuffled permutations for sample indices
-    start..start+count-1.  Row i equals sample_uniform(n, seed, start+i),
-    the shuffle of 1..n by substream(seed, start+i, SHUFFLE_STREAM)."""
+    start..start+count-1.  Row i equals sample_uniform(n, seed, start+i).
+
+    With B = shuffle_block_rows(n), sample index s is the (s mod B)-th
+    successive Fisher-Yates shuffle of 1..n drawn from
+    substream(seed, s // B, SHUFFLE_STREAM).  Each block the batch touches
+    is re-keyed once and its rows, through the last one kept, are
+    shuffled by one Generator.permuted call on an int64 scratch of at
+    most _SHUFFLE_CELLS entries (an int64 shuffle beats one of int16
+    rows); a batch that starts mid-block draws and drops that block's
+    leading rows.
+    """
     if n < 1:
         raise ZeroSize(f"cannot sample a permutation of size {n}")
-    rekey = _rekeyer(seed, SHUFFLE_STREAM, start, count)
+    _check_key(seed, SHUFFLE_STREAM, start, count)
+    rekey = _rekeyer(seed, SHUFFLE_STREAM)
+    rows = shuffle_block_rows(n)
     dtype = np.int16 if n < 2**15 else np.int32
     out = np.empty((count, n), dtype=dtype)
+    stop = start + count
     base = np.arange(1, n + 1, dtype=np.int64)
-    buf = np.empty_like(base)  # an int64 shuffle beats one of the int16 row
-    for i in range(count):
-        buf[:] = base
-        rekey(start + i).shuffle(buf)
-        out[i] = buf
+    scratch = np.empty((min(rows, start % rows + count), n), dtype=np.int64)
+    for block in range(start // rows, -(-stop // rows)):
+        first = block * rows
+        drawn = scratch[: min(stop - first, rows)]
+        drawn[:] = base
+        rekey(block).permuted(drawn, axis=1, out=drawn)
+        kept = max(start, first)
+        out[kept - start : first + len(drawn) - start] = drawn[kept - first :]
     return out
 
 
@@ -170,7 +199,8 @@ def sample_by_reduction_batch(n: int, seed: int, count: int, start: int = 0) -> 
     """
     if n < 1:
         raise ZeroSize(f"cannot sample a permutation of size {n}")
-    rekey = _rekeyer(seed, REDUCTION_STREAM, start, count)
+    _check_key(seed, REDUCTION_STREAM, start, count)
+    rekey = _rekeyer(seed, REDUCTION_STREAM)
     dtype = np.int16 if n < 2**15 else np.int32
     out = np.empty((count, n), dtype=dtype)
     rows = max(1, _BLOCK_CELLS // n)

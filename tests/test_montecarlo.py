@@ -26,7 +26,12 @@ from vincstat.montecarlo import (
 from vincstat.moments import exact_variance_at, expectation
 from vincstat.patterns import parse_pattern
 from vincstat.positions import count_rows, plan_count, position_count
-from vincstat.sampling import NORMAL_STREAM, sample_uniform_batch, substream
+from vincstat.sampling import (
+    NORMAL_STREAM,
+    sample_uniform_batch,
+    shuffle_block_rows,
+    substream,
+)
 
 
 def _plug_in_cumulants(xs):
@@ -245,8 +250,9 @@ def test_merge_work_stays_linear_in_the_pairs(monkeypatch):
 
 def test_run_experiment_deterministic_and_thread_invariant(monkeypatch):
     # m spans four sampling chunks, so two and three workers really split
-    # the work (one chunk of 3073 samples and three of 3072).  Three CPUs in the
-    # mask, so that three workers start on a smaller machine too.
+    # the work (chunks of 3128, 3128, 2992 and 3041 samples, cut on shuffle
+    # blocks of 136).  Three CPUs in the mask, so that three workers start
+    # on a smaller machine too.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     p = parse_pattern("2,1")
     m = 3 * _CHUNK + 1
@@ -475,13 +481,14 @@ def test_chunk_cell_bound_leaves_reports_alone(monkeypatch, text):
 
 @pytest.mark.parametrize("text", ["3|1,2", "2,1"])
 def test_chunks_are_equal_and_leave_reports_alone(monkeypatch, text):
-    # At most 81 rows a chunk (n = 6400's 2^19 // n, here as a cell
-    # budget at n = 100) cut 200 samples into 67, 67 and 66, not 81, 81
+    # At most 81 rows a chunk (n = 6400's 2^19 // n, where a shuffle
+    # block is one row) cut 200 samples into 67, 67 and 66, not 81, 81
     # and 38; the report equals the one from a single chunk.
     p = parse_pattern(text)
+    cells = montecarlo._CHUNK_CELLS
     monkeypatch.setattr(montecarlo, "_CHUNK_CELLS", 2**30)
-    whole = run_experiment(p, n=100, m=200, seed=4, threads=1)
-    monkeypatch.setattr(montecarlo, "_CHUNK_CELLS", 81 * 100)
+    whole = run_experiment(p, n=6400, m=200, seed=4, threads=1)
+    monkeypatch.setattr(montecarlo, "_CHUNK_CELLS", cells)
     seen = []
     count_chunk = montecarlo._count_chunk
 
@@ -490,8 +497,36 @@ def test_chunks_are_equal_and_leave_reports_alone(monkeypatch, text):
         return count_chunk(args)
 
     monkeypatch.setattr(montecarlo, "_count_chunk", recording)
-    assert run_experiment(p, n=100, m=200, seed=4, threads=1) == whole
+    assert run_experiment(p, n=6400, m=200, seed=4, threads=1) == whole
     assert seen == [(0, 67), (67, 67), (134, 66)]
+
+
+@pytest.mark.parametrize("n, m", [(100, 3 * _CHUNK + 1), (1600, 1001), (6, 3 * _CHUNK + 1)])
+def test_chunks_start_on_shuffle_blocks(monkeypatch, n, m):
+    # Every chunk starts on a shuffle block, so no row is drawn twice; the
+    # chunks keep to both caps, differ by at most one block, and give the
+    # report of a single chunk.  Blocks hold 40, 2 and 682 rows.
+    p = parse_pattern("2,1")
+    rows = shuffle_block_rows(n)
+    cap = min(_CHUNK, montecarlo._CHUNK_CELLS // n)
+    drawn = []
+
+    def spy(n_, seed, count, start):
+        drawn.append((start, count))
+        return sample_uniform_batch(n_, seed, count, start)
+
+    monkeypatch.setattr(montecarlo, "sample_uniform_batch", spy)
+    chunked = run_experiment(p, n=n, m=m, seed=6, threads=1)
+    starts, counts = zip(*drawn)
+    assert len(drawn) > 1
+    assert all(start % rows == 0 for start in starts)
+    assert list(starts) == [0, *np.cumsum(counts)[:-1].tolist()] and sum(counts) == m
+    assert max(counts) <= cap and max(counts) - min(counts) <= rows
+    monkeypatch.setattr(montecarlo, "_CHUNK", 2**30)
+    monkeypatch.setattr(montecarlo, "_CHUNK_CELLS", 2**40)
+    drawn.clear()
+    assert run_experiment(p, n=n, m=m, seed=6, threads=1) == chunked
+    assert drawn == [(0, m)]
 
 
 def test_sweep_path_size_guards(monkeypatch):

@@ -10,9 +10,11 @@ from vincstat.errors import (
     NotAdmissible,
     NotAPermutation,
     PatternError,
+    PatternTooSmall,
     SizeLimitExceeded,
     SizeMismatch,
 )
+from vincstat.moments import variance_polynomial
 from vincstat.patterns import (
     Permutation,
     VincularPattern,
@@ -465,6 +467,22 @@ def test_counts_are_invariant_under_reverse_and_complement():
             counts = _counts(perms, p)
             assert _counts(mirrored, _reverse(p)) == counts, (p, n)
             assert _counts(flipped, _complement(p)) == counts, (p, n)
+
+
+def test_variance_polynomial_is_invariant_under_reverse_and_complement():
+    # Both maps keep the law of the count, so they keep its variance
+    # polynomial.  Every pattern with k <= 4; k = 1 has none, and the
+    # pattern and its images are refused alike.
+    for p in (p for k in range(1, 5) for p in iter_patterns(k)):
+        images = (_reverse(p), _complement(p))
+        if p.size < 2:
+            for q in (p, *images):
+                with pytest.raises(PatternTooSmall):
+                    variance_polynomial(q)
+            continue
+        poly = variance_polynomial(p)
+        for image in images:
+            assert variance_polynomial(image) == poly, (p, image)
 
 
 def test_sweep_runs_the_blocks_rising():

@@ -14,8 +14,14 @@ from vincstat.sampling import (
     sample_by_reduction_batch,
     sample_uniform,
     sample_uniform_batch,
+    shuffle_block_rows,
     substream,
 )
+
+
+def _block_rows(n):
+    """Rows per shuffle block: a block holds at most 2^12 entries."""
+    return max(1, 4096 // n)
 
 
 def test_size_one_and_errors():
@@ -66,12 +72,14 @@ def test_batch_rows_match_scalar_calls():
             assert tuple(int(v) for v in rows[i]) == scalar_fn(9, seed=314, index=10 + i).values
 
 
-def _raw_shuffle(n, seed, index):
-    """numpy's Fisher-Yates shuffle of 1..n, replayed in pure Python from
-    the raw Philox stream of the (seed, index) shuffle substream: for
-    i = n-1..1, j is drawn from 0..i by masked rejection on 32-bit words
-    (each 64-bit output split, low half first) and entries i and j swap."""
-    key = np.array([seed, SHUFFLE_STREAM << 56 | index], dtype=np.uint64)
+def _raw_shuffles(n, seed, block):
+    """numpy's successive Fisher-Yates shuffles of 1..n, replayed in pure
+    Python from the raw Philox stream of the (seed, block) shuffle
+    substream: for i = n-1..1, j is drawn from 0..i by masked rejection
+    on 32-bit words (each 64-bit output split, low half first) and
+    entries i and j swap.  The 64-bit word and its unused 32-bit half
+    carry over from one shuffle to the next."""
+    key = np.array([seed, SHUFFLE_STREAM << 56 | block], dtype=np.uint64)
     bit_gen = np.random.Philox(key=key)
     words = []
 
@@ -81,31 +89,54 @@ def _raw_shuffle(n, seed, index):
             words.extend((raw >> 32, raw & 0xFFFFFFFF))
         return words.pop()
 
-    values = list(range(1, n + 1))
-    for i in range(n - 1, 0, -1):
-        mask = (1 << i.bit_length()) - 1
-        j = next32() & mask
-        while j > i:
+    while True:
+        values = list(range(1, n + 1))
+        for i in range(n - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
             j = next32() & mask
-        values[i], values[j] = values[j], values[i]
-    return values
+            while j > i:
+                j = next32() & mask
+            values[i], values[j] = values[j], values[i]
+        yield values
+
+
+def _raw_rows(n, seed, start, count):
+    """Samples start..start+count-1: sample s is shuffle s mod B of block
+    s // B, for B = _block_rows(n)."""
+    rows = _block_rows(n)
+    out = []
+    for block in range(start // rows, (start + count - 1) // rows + 1):
+        shuffles = _raw_shuffles(n, seed, block)
+        for index in range(block * rows, min(block * rows + rows, start + count)):
+            row = next(shuffles)
+            if index >= start:
+                out.append(row)
+    return out
 
 
 def test_shuffle_rows_follow_the_raw_philox_stream():
     # NEP 19 keeps bit-generator raw streams stable across numpy versions;
     # this pins the seeded shuffle to that stream, not to Generator code.
-    for n in (1, 2, 3, 7, 25, 100, 300):
-        for seed, start in ((0, 0), (314, 10), (2**64 - 1, 2**56 - 3)):
-            rows = sample_uniform_batch(n, seed, 3, start)
-            for i, row in enumerate(rows):
-                assert row.tolist() == _raw_shuffle(n, seed, start + i)
+    # Batches start at a block, cross a block boundary mid-block and sit
+    # at the top sample indices; n = 2049 and 3000 have one-row blocks.
+    for n in (1, 2, 3, 7, 25, 100, 300, 2048, 2049, 3000):
+        rows = _block_rows(n)
+        assert shuffle_block_rows(n) == rows
+        for seed, start, count in (
+            (0, 0, 3),
+            (314, 10, 3),
+            (314, 2 * rows - 2, 4),
+            (2**64 - 1, 2**56 - 3, 3),
+        ):
+            batch = sample_uniform_batch(n, seed, count, start)
+            assert batch.tolist() == _raw_rows(n, seed, start, count), (n, seed, start)
 
 
 def test_literal_rows():
     assert sample_uniform_batch(8, seed=2024, count=3, start=5).tolist() == [
-        [4, 3, 1, 6, 5, 8, 7, 2],
-        [2, 6, 8, 5, 7, 1, 3, 4],
-        [5, 6, 8, 1, 7, 2, 4, 3],
+        [1, 3, 4, 5, 7, 6, 2, 8],
+        [6, 2, 1, 4, 3, 8, 7, 5],
+        [6, 4, 8, 1, 3, 5, 2, 7],
     ]
     assert sample_by_reduction_batch(8, seed=2024, count=3, start=5).tolist() == [
         [7, 5, 3, 8, 4, 2, 1, 6],
@@ -114,8 +145,8 @@ def test_literal_rows():
     ]
     top = 2**56 - 2
     assert sample_uniform_batch(5, seed=2**64 - 1, count=2, start=top).tolist() == [
-        [5, 2, 1, 4, 3],
-        [2, 1, 5, 4, 3],
+        [1, 3, 5, 4, 2],
+        [4, 5, 2, 3, 1],
     ]
     assert sample_by_reduction_batch(5, seed=2**64 - 1, count=2, start=top).tolist() == [
         [2, 1, 3, 4, 5],
@@ -124,7 +155,13 @@ def test_literal_rows():
 
 
 def _fresh_shuffle(n, seed, index):
-    return substream(seed, index, SHUFFLE_STREAM).permutation(np.arange(1, n + 1))
+    """Sample index r of block b is the r-th successive shuffle of a fresh
+    substream(seed, b, SHUFFLE_STREAM)."""
+    block, offset = divmod(index, _block_rows(n))
+    gen = substream(seed, block, SHUFFLE_STREAM)
+    for _ in range(offset):
+        gen.permutation(n)
+    return gen.permutation(np.arange(1, n + 1))
 
 
 def _fresh_reduction(n, seed, index):
@@ -136,9 +173,10 @@ def _fresh_reduction(n, seed, index):
     "seed, start", [(0, 0), (2**64 - 1, 0), (7, 2**56 - 4), (2**64 - 1, 2**56 - 4)]
 )
 def test_batch_rows_equal_fresh_substreams_at_the_key_edges(seed, start):
-    # The re-keyed generator must start every row in a fresh substream's
-    # state, at the first and last sample index and at the largest seed.
-    for n in (1, 2, 9, 40):
+    # The re-keyed generator must start every block in a fresh substream's
+    # state, at the first and last sample index and at the largest seed;
+    # at n = 3000 a block is one row, so the last substream index is used.
+    for n in (1, 2, 9, 40, 3000):
         for batch_fn, fresh in (
             (sample_uniform_batch, _fresh_shuffle),
             (sample_by_reduction_batch, _fresh_reduction),
@@ -157,6 +195,35 @@ def test_batch_index_range_check():
         with pytest.raises(ValueError):
             batch_fn(5, seed=1 << 64, count=1)
         assert batch_fn(5, seed=0, count=0).shape == (0, 5)
+
+
+def test_an_empty_batch_checks_its_start():
+    # The start index is checked even when no row is drawn, and a bad
+    # start is the index named, whatever the count.
+    for batch_fn in (sample_uniform_batch, sample_by_reduction_batch):
+        for start in (-1, 2**56, 2**60):
+            for count in (0, 3):
+                with pytest.raises(ValueError, match=f"sample index {start} "):
+                    batch_fn(5, seed=0, count=count, start=start)
+        with pytest.raises(ValueError, match=f"sample index {2**56} "):
+            batch_fn(5, seed=0, count=4, start=2**56 - 3)
+        assert batch_fn(5, seed=0, count=0, start=2**56 - 1).shape == (0, 5)
+
+
+@pytest.mark.parametrize("n", [1, 5, 40, 100, 2048, 2049])
+def test_any_window_of_a_batch_is_a_slice_of_one_long_batch(n):
+    # Windows that start and end on block boundaries and inside blocks,
+    # empty ones included, equal the slice of one long batch, and so do
+    # the lone samples.
+    rows = _block_rows(n)
+    whole = sample_uniform_batch(n, seed=9, count=3 * rows + 2)
+    for start in sorted({0, 1, rows - 1, rows, rows + 1, 2 * rows - 1, 2 * rows + 1}):
+        for count in sorted({0, 1, rows - 1, rows, rows + 1}):
+            window = sample_uniform_batch(n, seed=9, count=count, start=start)
+            assert window.shape == (count, n)
+            assert np.array_equal(window, whole[start : start + count]), (start, count)
+    for index in sorted({0, rows - 1, rows, 3 * rows + 1}):
+        assert sample_uniform(n, seed=9, index=index).values == tuple(whole[index].tolist())
 
 
 def test_tied_rows_finds_repeats():
