@@ -10,10 +10,8 @@ from .depgraph import (
 )
 from .errors import VincstatError
 from .moments import (
-    OverlapClass,
     VariancePolynomial,
     conditional_block_expectation,
-    covariance,
     exact_variance_at,
     expectation,
     joint_probability,

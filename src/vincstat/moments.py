@@ -42,11 +42,9 @@ from .patterns import Permutation, VincularPattern, reduce_sequence
 from .positions import position_count
 
 __all__ = [
-    "OverlapClass",
     "VariancePolynomial",
     "expectation",
     "joint_probability",
-    "covariance",
     "exact_variance_at",
     "variance_polynomial",
     "conditional_block_expectation",
@@ -60,61 +58,37 @@ def expectation(pattern: VincularPattern, n: int) -> Fraction:
     return Fraction(position_count(n, pattern), factorial(pattern.size))
 
 
-@dataclass(frozen=True)
-class OverlapClass:
-    """How two intersecting position sets sit inside their union.
-
-    t is the union size; i_mask and j_mask are the ranks (1-based, within
-    the sorted union) occupied by the first and second set.  Two concrete
-    pairs with the same class have identical indicator covariance,
-    because a uniform host induces a uniform relative order on the union
-    values.
-    """
-
-    t: int
-    i_mask: tuple[int, ...]
-    j_mask: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        union = set(self.i_mask) | set(self.j_mask)
-        if union != set(range(1, self.t + 1)):
-            raise ValueError(f"masks {self.i_mask}/{self.j_mask} do not cover 1..{self.t}")
-        if not set(self.i_mask) & set(self.j_mask):
-            raise ValueError("overlap class requires intersecting sets")
-
-    @staticmethod
-    def from_pair(I: Sequence[int], J: Sequence[int]) -> "OverlapClass":
-        union = sorted(set(I) | set(J))
-        rank = {pos: r for r, pos in enumerate(union, start=1)}
-        return OverlapClass(
-            len(union),
-            tuple(rank[p] for p in sorted(I)),
-            tuple(rank[p] for p in sorted(J)),
-        )
-
-    def swapped(self) -> "OverlapClass":
-        return OverlapClass(self.t, self.j_mask, self.i_mask)
+def _rank_masks(
+    I: Sequence[int], J: Sequence[int]
+) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """The overlap class of two position sets: the union size t and the
+    ranks (1-based, within the sorted union) each set occupies.  Pairs
+    with the same class have the same joint law, because a uniform host
+    induces a uniform relative order on the union values."""
+    union = sorted(set(I) | set(J))
+    rank = {pos: r for r, pos in enumerate(union, start=1)}
+    return len(union), tuple(rank[p] for p in sorted(I)), tuple(rank[p] for p in sorted(J))
 
 
 def _extension_count(
-    values: Sequence[int], i_mask: Sequence[int], j_mask: Sequence[int]
+    i_values: Sequence[int], j_values: Sequence[int], i_mask: Sequence[int], j_mask: Sequence[int]
 ) -> int:
-    """Linear extensions of the two value chains a pattern with these
-    values imposes on the union ranks of the two masks.
+    """Linear extensions of the two value chains that the orders i_values
+    on i_mask and j_values on j_mask impose on the union ranks.
 
-    Union rank mask[q] sits at place values[q] (from the bottom) of its
-    mask's chain.  The chains meet only in the shared ranks.  When those
-    come in the same order on both chains, an extension interleaves the
-    two chains' segments between consecutive shared ranks independently:
-    prod_i binom(a_i + b_i, a_i), with a_i and b_i the segment lengths.
-    When the orders differ the two chains form a cycle and the count is 0.
-    O(k) at any union size.
+    Union rank i_mask[q] sits at place i_values[q] (from the bottom) of
+    I's chain, and j_mask[q] at place j_values[q] of J's.  The chains meet
+    only in the shared ranks.  When those come in the same order on both
+    chains, an extension interleaves the two chains' segments between
+    consecutive shared ranks independently: prod_i binom(a_i + b_i, a_i),
+    with a_i and b_i the segment lengths.  When the orders differ the two
+    chains form a cycle and the count is 0.  O(k) at any union size.
     """
-    k = len(values)
-    on_j = dict(zip(j_mask, values))
+    k = len(i_values)
+    on_j = dict(zip(j_mask, j_values))
     # j_value[a]: the place on J's chain of the shared rank at place a on I's.
     j_value = [0] * (k + 1)
-    for r, v in zip(i_mask, values):
+    for r, v in zip(i_mask, i_values):
         if r in on_j:
             j_value[v] = on_j[r]
     count, a0, b0 = 1, 0, 0
@@ -128,20 +102,16 @@ def _extension_count(
     return count * comb(2 * k - a0 - b0, k - a0)
 
 
-def joint_probability(cls: OverlapClass, pi: Permutation) -> Fraction:
-    """P(both indicators are 1) for a pair in this overlap class: the
-    linear extensions of the two value chains on the union (a product of
-    binomials, see _extension_count), divided by t!.  No size limit
-    applies here."""
+def joint_probability(I: Sequence[int], J: Sequence[int], pi: Permutation) -> Fraction:
+    """P(the host values on both position sets I and J are in the order
+    pi): the linear extensions of the two value chains on the union (a
+    product of binomials, see _extension_count), divided by t!.  No size
+    limit applies here."""
     k = pi.size
-    if len(cls.i_mask) != k or len(cls.j_mask) != k:
-        raise ValueError(f"class masks have size {len(cls.i_mask)}, pattern has size {k}")
-    return Fraction(_extension_count(pi.values, cls.i_mask, cls.j_mask), factorial(cls.t))
-
-
-def covariance(cls: OverlapClass, pi: Permutation) -> Fraction:
-    """Cov of the two indicators: joint probability minus (1/k!)^2."""
-    return joint_probability(cls, pi) - Fraction(1, factorial(pi.size) ** 2)
+    if not len(I) == len(set(I)) == len(J) == len(set(J)) == k:
+        raise ValueError(f"need two sets of {k} distinct positions, got {I} and {J}")
+    t, i_mask, j_mask = _rank_masks(I, J)
+    return Fraction(_extension_count(pi.values, pi.values, i_mask, j_mask), factorial(t))
 
 
 def _overlap_classes(
@@ -202,7 +172,7 @@ def _class_weights(
     sums: dict[tuple[int, int], list[int]] = {}
     for t, i_mask, j_mask, c, mult in _overlap_classes(pattern, max_t):
         acc = sums.setdefault((t, c), [0, 0])
-        acc[0] += mult * _extension_count(values, i_mask, j_mask)
+        acc[0] += mult * _extension_count(values, values, i_mask, j_mask)
         acc[1] += mult
     square = factorial(k) ** 2
     return {

@@ -230,12 +230,14 @@ def run_experiment(
     and _CHUNK_CELLS permutation entries.  Chunks are cut on the shuffle
     sampler's blocks of B = sampling.shuffle_block_rows(n) rows, so no
     chunk redraws a row another chunk drew, and their sizes differ by at
-    most B (by at most one when B = 1).  Should a block not fit the caps,
-    the chunks are cut by the sample instead.  Every chunk is counted by
-    positions.count_rows and reduced to (value, frequency) pairs, which
-    are merged; no array of m counts is built.  Output is identical for
-    every thread count.  At most min(threads, chunks, CPUs in the
-    affinity mask) worker processes run.
+    most B (by at most one when B = 1): that keeps the largest chunk, and
+    with it peak memory, as small as that many chunks allow.  (Full chunks
+    and a thin remainder would count no slower.)  Should a block not fit
+    the caps, the chunks are cut by the sample instead.  Every chunk is
+    counted by positions.count_rows and reduced to (value, frequency)
+    pairs, which are merged; no array of m counts is built.  Output is
+    identical for every thread count.  At most min(threads, chunks, CPUs
+    in the affinity mask) worker processes run.
     """
     if pattern.size < 2:
         raise PatternTooSmall("the normal limit concerns patterns of size k >= 2")
@@ -258,8 +260,9 @@ def run_experiment(
     units = -(-m // grain)  # the last may be short of a whole grain
     chunks = -(-units // (cap // grain))
     # Equal chunks, the first units % chunks of them one grain longer, so
-    # none is a thin remainder.  When the last grain is short, the last
-    # chunk takes one of those extra grains instead.
+    # the largest chunk is as small as this many chunks allow.  When the
+    # last grain is short, the last chunk takes one of those extra grains
+    # instead.
     size, longer = divmod(units, chunks)
     if longer and units * grain > m:
         longer -= 1

@@ -291,6 +291,20 @@ def test_options_a_mode_does_not_read_are_usage_errors(runner):
         assert result.output.splitlines()[-1] == f"Error: {message}", args
 
 
+def test_missing_inputs_are_usage_errors(runner):
+    cases = [
+        (["bounds", "--kind", "stein", "--N", "10", "--D", "3"], "",
+         "kind=stein needs --sigma2 (or --pattern/--n)"),
+        (["bounds", "--kind", "cumulant", "--N", "10", "--D", "3"], "",
+         "kind=cumulant needs --r"),
+        (["rate"], "", "empty CSV input"),
+    ]
+    for args, stdin, message in cases:
+        result = runner.invoke(main, args, input=stdin)
+        assert result.exit_code == 2, args
+        assert result.output.splitlines()[-1] == f"Error: {message}", args
+
+
 def test_unsafe_size_flag_unlocks_k6(runner):
     result = runner.invoke(
         main, ["--unsafe-size", "moments", "--pattern", "1|2|3|4|5|6", "--n", "8"]

@@ -10,10 +10,10 @@ from scipy.integrate import quad
 
 from vincstat.errors import BadWindow, DegenerateInput, PatternTooSmall, SizeLimitExceeded
 from vincstat.moments import (
-    OverlapClass,
+    _extension_count,
     _overlap_classes,
+    _rank_masks,
     conditional_block_expectation,
-    covariance,
     exact_variance_at,
     expectation,
     joint_probability,
@@ -30,37 +30,41 @@ def test_expectation_examples():
     assert expectation(parse_pattern("1|2|3"), 7) == Fraction(35, 6)
 
 
-def test_overlap_class_construction():
-    cls = OverlapClass.from_pair((1, 2, 5), (2, 5, 6))
-    assert cls.t == 4
-    assert cls.i_mask == (1, 2, 3)
-    assert cls.j_mask == (2, 3, 4)
-    assert cls.swapped().i_mask == (2, 3, 4)
-    with pytest.raises(ValueError):
-        OverlapClass(3, (1, 2), (1, 2))  # rank 3 uncovered
-    with pytest.raises(ValueError):
-        OverlapClass(4, (1, 2), (3, 4))  # disjoint
+def test_rank_masks():
+    assert _rank_masks((1, 2, 5), (2, 5, 6)) == (4, (1, 2, 3), (2, 3, 4))
+    assert _rank_masks((2, 5, 6), (1, 2, 5)) == (4, (2, 3, 4), (1, 2, 3))
 
 
 def test_joint_probability_hand_checked():
     # Identical sets: the joint is the marginal 1/k!.
     pi312 = Permutation((3, 1, 2))
-    same = OverlapClass.from_pair((2, 3, 4), (2, 3, 4))
-    assert joint_probability(same, pi312) == Fraction(1, 6)
+    assert joint_probability((2, 3, 4), (2, 3, 4), pi312) == Fraction(1, 6)
     # Two adjacent descents sharing their middle point: sigma_1 > sigma_2 > sigma_3.
-    chain = OverlapClass.from_pair((1, 2), (2, 3))
-    assert joint_probability(chain, Permutation((2, 1))) == Fraction(1, 6)
-    assert covariance(chain, Permutation((2, 1))) == Fraction(-1, 12)
-    assert covariance(chain, Permutation((1, 2))) == Fraction(-1, 12)
+    chain = (1, 2), (2, 3)
+    assert joint_probability(*chain, Permutation((2, 1))) == Fraction(1, 6)
+    assert joint_probability(*chain, Permutation((2, 1))) - Fraction(1, 4) == Fraction(-1, 12)
+    assert joint_probability(*chain, Permutation((1, 2))) - Fraction(1, 4) == Fraction(-1, 12)
+
+
+def test_joint_probability_checks_the_set_sizes():
+    # Disjoint sets are independent; sets of the wrong size, or with a
+    # repeated position, are refused.
+    pi = Permutation((2, 1, 3))
+    assert joint_probability((1, 2, 3), (4, 5, 6), pi) == Fraction(1, 36)
+    for I, J in (((1, 2), (2, 3, 4)), ((1, 2, 3), (2, 3, 4, 5)), ((1, 1, 2), (2, 3, 4))):
+        with pytest.raises(ValueError):
+            joint_probability(I, J, pi)
 
 
 def test_joint_probability_has_no_union_size_limit():
     # A k = 6 class with t = 11 under the default limits: the two chains
     # 1 < ... < 6 and 6 < ... < 11 leave a single linear extension.
-    cls = OverlapClass(11, (1, 2, 3, 4, 5, 6), (6, 7, 8, 9, 10, 11))
+    I, J = (1, 2, 3, 4, 5, 6), (6, 7, 8, 9, 10, 11)
     identity = Permutation((1, 2, 3, 4, 5, 6))
-    assert joint_probability(cls, identity) == Fraction(1, 39916800)
-    assert covariance(cls, identity) == Fraction(1, 39916800) - Fraction(1, 720**2)
+    assert joint_probability(I, J, identity) == Fraction(1, 39916800)
+    assert joint_probability(I, J, identity) - Fraction(1, 720**2) == (
+        Fraction(1, 39916800) - Fraction(1, 720**2)
+    )
 
 
 def test_negative_host_size_is_rejected():
@@ -83,12 +87,11 @@ def test_joint_probability_brute_force_cross_check():
         (Permutation((2, 3, 1)), (1, 2, 3), (2, 3, 5)),
     ]
     for pi, I, J in cases:
-        cls = OverlapClass.from_pair(I, J)
-        t = cls.t
+        t, i_mask, j_mask = _rank_masks(I, J)
         hits = 0
         for order in permutations(range(1, t + 1)):
             ok = True
-            for mask in (cls.i_mask, cls.j_mask):
+            for mask in (i_mask, j_mask):
                 window = [order[r - 1] for r in mask]
                 ranks = sorted(range(len(window)), key=lambda q: window[q])
                 got = [0] * len(window)
@@ -99,7 +102,7 @@ def test_joint_probability_brute_force_cross_check():
                     break
             if ok:
                 hits += 1
-        assert joint_probability(cls, pi) == Fraction(hits, factorial(t))
+        assert joint_probability(I, J, pi) == Fraction(hits, factorial(t))
 
 
 def test_joint_bounds_and_symmetry_over_real_pairs():
@@ -112,10 +115,9 @@ def test_joint_bounds_and_symmetry_over_real_pairs():
         for A, B in combinations(sets, 2):
             if not set(A) & set(B):
                 continue
-            cls = OverlapClass.from_pair(A, B)
-            joint = joint_probability(cls, p.order)
+            joint = joint_probability(A, B, p.order)
             assert 0 <= joint <= upper
-            assert joint_probability(cls.swapped(), p.order) == joint
+            assert joint_probability(B, A, p.order) == joint
             seen += 1
         assert seen > 10
 
@@ -271,19 +273,23 @@ def test_expectation_tiny_hosts():
 
 def test_variance_of_single_indicator():
     # I = J: the covariance is Var(X_I) = p(1 - p) with p = 1/k!.
-    same = OverlapClass.from_pair((4, 5), (4, 5))
-    assert covariance(same, Permutation((2, 1))) == Fraction(1, 4)
-    same3 = OverlapClass.from_pair((2, 5, 6), (2, 5, 6))
-    assert covariance(same3, Permutation((3, 1, 2))) == Fraction(1, 6) * Fraction(5, 6)
+    same = (4, 5), (4, 5)
+    assert joint_probability(*same, Permutation((2, 1))) - Fraction(1, 4) == Fraction(1, 4)
+    same3 = (2, 5, 6), (2, 5, 6)
+    assert joint_probability(*same3, Permutation((3, 1, 2))) - Fraction(1, 36) == (
+        Fraction(1, 6) * Fraction(5, 6)
+    )
 
 
-def _joint_by_order_scan(cls: OverlapClass, pi: Permutation) -> Fraction:
-    """Independent joint probability: iterate every relative order of the
-    union and test both windows directly."""
+def _joint_by_order_scan(masks: tuple, pi: Permutation) -> Fraction:
+    """Independent joint probability of the overlap class masks =
+    (t, i_mask, j_mask): iterate every relative order of the union and
+    test both windows directly."""
+    t, i_mask, j_mask = masks
     hits = 0
-    for order in permutations(range(1, cls.t + 1)):
+    for order in permutations(range(1, t + 1)):
         ok = True
-        for mask in (cls.i_mask, cls.j_mask):
+        for mask in (i_mask, j_mask):
             window = [order[r - 1] for r in mask]
             ranks = sorted(range(len(window)), key=lambda q: window[q])
             got = [0] * len(window)
@@ -294,7 +300,7 @@ def _joint_by_order_scan(cls: OverlapClass, pi: Permutation) -> Fraction:
                 break
         if ok:
             hits += 1
-    return Fraction(hits, factorial(cls.t))
+    return Fraction(hits, factorial(t))
 
 
 def test_random_concrete_pairs_collapse_onto_few_classes():
@@ -314,10 +320,12 @@ def test_random_concrete_pairs_collapse_onto_few_classes():
     keys = set()
     expected = Fraction(1, factorial(3))
     for A, B in pairs:
-        cls = OverlapClass.from_pair(A, B)
+        t, i_mask, j_mask = masks = _rank_masks(A, B)
         # Covariance is symmetric in the two sets: key the class up to a swap.
-        keys.add((cls.t,) + tuple(sorted((cls.i_mask, cls.j_mask))))
-        assert covariance(cls, p.order) == _joint_by_order_scan(cls, p.order) - expected**2
+        keys.add((t,) + tuple(sorted((i_mask, j_mask))))
+        assert joint_probability(A, B, p.order) - expected**2 == (
+            _joint_by_order_scan(masks, p.order) - expected**2
+        )
     assert len(keys) < 15
 
 
@@ -332,9 +340,10 @@ def test_joint_probability_matches_order_scan(k, data):
     others = sorted(set(range(1, 10)) - I)
     added = data.draw(st.sets(st.sampled_from(others), min_size=k - shared, max_size=k - shared))
     pi = Permutation(tuple(data.draw(st.permutations(list(range(1, k + 1))))))
-    cls = OverlapClass.from_pair(tuple(I), tuple(kept | added))
-    assert cls.t <= 7
-    assert joint_probability(cls, pi) == _joint_by_order_scan(cls, pi)
+    J = tuple(kept | added)
+    masks = _rank_masks(tuple(I), J)
+    assert masks[0] <= 7
+    assert joint_probability(tuple(I), J, pi) == _joint_by_order_scan(masks, pi)
 
 
 def test_joint_probability_matches_order_scan_on_every_walked_class():
@@ -343,18 +352,37 @@ def test_joint_probability_matches_order_scan_on_every_walked_class():
     for text in ("1|3|2", "2,1|3|4"):
         p = parse_pattern(text)
         for t, i_mask, j_mask, _, _ in _overlap_classes(p, 2 * p.size - 1):
-            cls = OverlapClass(t, i_mask, j_mask)
-            assert joint_probability(cls, p.order) == _joint_by_order_scan(cls, p.order), (
-                text, cls
-            )
+            masks = (t, i_mask, j_mask)
+            assert _rank_masks(i_mask, j_mask) == masks, (text, masks)
+            assert joint_probability(i_mask, j_mask, p.order) == (
+                _joint_by_order_scan(masks, p.order)
+            ), (text, masks)
+
+
+def test_extensions_summed_over_the_other_order_are_t_factorial_over_k_factorial():
+    # Beyond the order scan's reach: fix pi on one chain and let the other
+    # take every order tau.  In a uniform order of the union, the window
+    # on one set reads pi with probability 1/k! and the other window reads
+    # exactly one tau, so both sums are t!/k! on every class, whatever its
+    # shared ranks.
+    p = parse_pattern("3|1,5|2,6|4")
+    k, pi = p.size, p.order.values
+    orders = list(permutations(range(1, k + 1)))
+    classes = list(_overlap_classes(p, 2 * k - 1))
+    assert len(classes) == 498
+    for t, i_mask, j_mask, _, _ in classes:
+        target = factorial(t) // factorial(k)
+        on_j = sum(_extension_count(pi, tau, i_mask, j_mask) for tau in orders)
+        on_i = sum(_extension_count(tau, pi, i_mask, j_mask) for tau in orders)
+        assert on_j == on_i == target, (t, i_mask, j_mask)
 
 
 def test_shared_ranks_in_opposite_orders_have_zero_joint():
     # Under 1,3,2 the first set orders its ranks 1 < 3 < 2 and the second
     # 2 < 4 < 3: the shared ranks 2 and 3 come in opposite orders.
-    cls = OverlapClass.from_pair((1, 2, 3), (2, 3, 4))
-    assert joint_probability(cls, Permutation((1, 3, 2))) == 0
-    assert _joint_by_order_scan(cls, Permutation((1, 3, 2))) == 0
+    I, J = (1, 2, 3), (2, 3, 4)
+    assert joint_probability(I, J, Permutation((1, 3, 2))) == 0
+    assert _joint_by_order_scan(_rank_masks(I, J), Permutation((1, 3, 2))) == 0
 
 
 def _fractions(*texts: str) -> tuple[Fraction, ...]:
@@ -405,8 +433,8 @@ def _variance_by_pair_sum(pattern, n: int) -> Fraction:
             partners.update(by_element[p])
         for other in partners:
             if other > idx:
-                cls = OverlapClass.from_pair(positions, sets[other])
-                total += 2 * covariance(cls, pattern.order)
+                joint = joint_probability(positions, sets[other], pattern.order)
+                total += 2 * (joint - Fraction(1, kfact**2))
     return total
 
 
@@ -427,14 +455,12 @@ def test_each_unordered_class_is_visited_once():
         n = 2 * p.size - 1
         ordered = []
         for t, i_mask, j_mask, _, mult in _overlap_classes(p, n):
-            cls = OverlapClass(t, i_mask, j_mask)
-            assert cls.i_mask <= cls.j_mask, (text, cls)
-            assert mult == (1 if cls.i_mask == cls.j_mask else 2), (text, cls)
-            ordered += [cls] if mult == 1 else [cls, cls.swapped()]
+            masks = (t, i_mask, j_mask)
+            assert i_mask <= j_mask, (text, masks)
+            assert mult == (1 if i_mask == j_mask else 2), (text, masks)
+            ordered += [masks] if mult == 1 else [masks, (t, j_mask, i_mask)]
         sets = [I.positions for I in enumerate_position_sets(n, p)]
-        realized = {
-            OverlapClass.from_pair(A, B) for A in sets for B in sets if set(A) & set(B)
-        }
+        realized = {_rank_masks(A, B) for A in sets for B in sets if set(A) & set(B)}
         assert len(ordered) == len(set(ordered)), text
         assert set(ordered) == realized, text
 
