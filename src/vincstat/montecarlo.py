@@ -1,6 +1,7 @@
 """Monte Carlo verification of the normal limit.
 
-Draws seeded permutations, standardizes the occurrence count with the
+Draws seeded permutations (for a window pattern, rows of raw words in
+the same relative order), standardizes the occurrence count with the
 exact mean and variance whenever the exact machinery covers the pattern,
 and summarizes the sample by its Kolmogorov distance to the standard
 normal and its first four sample cumulants.  A least-squares fit of
@@ -11,7 +12,7 @@ noise floor of the empirical distribution function itself), so rate fits
 should stop increasing n once d_K approaches that floor.
 
 Counts are integers, so a sample is kept as its distinct values and
-their frequencies: each chunk of permutations is reduced to (value,
+their frequencies: each chunk of samples is reduced to (value,
 frequency) pairs as soon as it is counted, and d_K and the cumulants are
 computed from the merged pairs.  Memory grows with the number of
 distinct counts, not with the number of samples.
@@ -28,8 +29,8 @@ from . import config
 from .errors import DegenerateInput, EmptySample, PatternTooSmall, SizeLimitExceeded, TooFewSamples
 from .moments import exact_variance_at, expectation
 from .patterns import VincularPattern, format_pattern
-from .positions import count_rows, plan_count
-from .sampling import sample_uniform_batch, shuffle_block_rows
+from .positions import count_rows, count_windows, plan_count
+from .sampling import sample_uniform_batch, sample_words, shuffle_block_rows, word_block_rows
 
 __all__ = [
     "CumulantEstimates",
@@ -44,7 +45,7 @@ __all__ = [
 _CHUNK = 4096  # at most this many samples per generation/counting chunk;
                # rows are seeded by their index, so chunking only bounds
                # memory, sets the parallel grain and, with chunks cut on
-               # shuffle blocks, draws no row twice
+               # the sampler's blocks, draws no row twice
 _CHUNK_CELLS = 2**19  # and at most this many permutation entries per
                       # chunk: fewer samples once n > 128
 
@@ -176,9 +177,14 @@ class MonteCarloReport:
 
 def _count_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     """The distinct occurrence counts of one chunk of samples and their
-    frequencies."""
-    pattern, n, seed, start, count, plan = args
-    counts = count_rows(sample_uniform_batch(n, seed, count, start), pattern, plan)
+    frequencies.  Raw words are counted block by block, so no array of
+    the chunk's words is built."""
+    pattern, n, seed, start, count, plan, words = args
+    if words:
+        blocks = sample_words(n, seed, count, start, pattern.size)
+        counts = np.concatenate([count_windows(block, pattern) for block in blocks])
+    else:
+        counts = count_rows(sample_uniform_batch(n, seed, count, start), pattern, plan)
     return np.unique(counts, return_counts=True)
 
 
@@ -226,18 +232,25 @@ def run_experiment(
     is asked for the variance.  Where exact_variance_at refuses the
     pattern as beyond the exact-moment limit (raised to at least k=6 by
     unsafe), sample moments standardize instead, as the report records.
-    The samples are drawn in the fewest chunks of at most _CHUNK samples
-    and _CHUNK_CELLS permutation entries.  Chunks are cut on the shuffle
-    sampler's blocks of B = sampling.shuffle_block_rows(n) rows, so no
-    chunk redraws a row another chunk drew, and their sizes differ by at
-    most B (by at most one when B = 1): that keeps the largest chunk, and
-    with it peak memory, as small as that many chunks allow.  (Full chunks
-    and a thin remainder would count no slower.)  Should a block not fit
-    the caps, the chunks are cut by the sample instead.  Every chunk is
-    counted by positions.count_rows and reduced to (value, frequency)
-    pairs, which are merged; no array of m counts is built.  Output is
-    identical for every thread count.  At most min(threads, chunks, CPUs
-    in the affinity mask) worker processes run.
+    The plan also chooses the sampler.  A window pattern (j = 1) reads
+    only the order inside windows of k neighbours, which the relative
+    order of i.i.d. uniform words gives as a shuffle would: its samples
+    are raw Philox words (sampling.sample_words), counted block by block
+    by positions.count_windows.  Every other pattern is counted by
+    positions.count_rows on shuffled permutations
+    (sampling.sample_uniform_batch), since the sweep and the scans index
+    by value.  The samples are drawn in the fewest chunks of at most
+    _CHUNK samples and _CHUNK_CELLS permutation entries.  Chunks are cut
+    on the sampler's blocks of B rows (sampling.word_block_rows(n) or
+    sampling.shuffle_block_rows(n)), so no chunk redraws a row another
+    chunk drew, and their sizes differ by at most B (by at most one when
+    B = 1): that keeps the largest chunk, and with it peak memory, as
+    small as that many chunks allow.  (Full chunks and a thin remainder
+    would count no slower.)  Should a block not fit the caps, the chunks
+    are cut by the sample instead.  Every chunk is reduced to (value,
+    frequency) pairs, which are merged; no array of m counts is built.
+    Output is identical for every thread count.  At most min(threads,
+    chunks, CPUs in the affinity mask) worker processes run.
     """
     if pattern.size < 2:
         raise PatternTooSmall("the normal limit concerns patterns of size k >= 2")
@@ -253,8 +266,9 @@ def run_experiment(
         var_q = None  # beyond the exact-moment limit
     if var_q is not None and var_q <= 0:
         raise DegenerateInput(f"exact variance is {var_q} at n={n}; nothing to standardize")
+    words = pattern.block_count == 1
     cap = max(1, min(_CHUNK, _CHUNK_CELLS // n))
-    grain = shuffle_block_rows(n)
+    grain = word_block_rows(n) if words else shuffle_block_rows(n)
     if grain > cap:
         grain = 1
     units = -(-m // grain)  # the last may be short of a whole grain
@@ -268,7 +282,7 @@ def run_experiment(
         longer -= 1
     starts = [grain * (i * size + min(i, longer)) for i in range(chunks)] + [m]
     tasks = (
-        (pattern, n, seed, starts[i], starts[i + 1] - starts[i], plan)
+        (pattern, n, seed, starts[i], starts[i + 1] - starts[i], plan, words)
         for i in range(chunks)
     )
     # With the fork start method every worker is forked at the first

@@ -23,7 +23,9 @@ bit-parallel scan of about n^2/64 word operations per row; otherwise
 each step costs about n^1.5 cells per row.  The chain
 kernel, count_occurrences_batch, tests every set of a position_matrix
 with k-1 comparisons; it serves every other shape, under the listing
-cap, and is the reference the sweep is tested against.
+cap, and is the reference the sweep is tested against.  count_windows
+makes the sweep's window comparisons on rows that need not be
+permutations, such as the raw words of sampling.sample_words.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ __all__ = [
     "position_matrix",
     "is_path_shaped",
     "count_occurrences_sweep",
+    "count_windows",
     "plan_count",
     "count_rows",
 ]
@@ -324,6 +327,19 @@ def _window_match(v: np.ndarray, chain: list[int]) -> np.ndarray:
     for lo, hi in zip(chain, chain[1:]):
         ok &= v[:, lo : lo + span] < v[:, hi : hi + span]
     return ok
+
+
+def count_windows(rows: np.ndarray, pattern: VincularPattern) -> np.ndarray:
+    """Counts of a window pattern (j = 1) in each row of rows, a 2-D array
+    of any real dtype, as int32: the row sums of _window_match, the
+    comparisons count_occurrences_sweep makes.  Only the order inside
+    each window of k neighbours is read, so a row need not be a
+    permutation; its entries must differ within every window."""
+    if pattern.block_count != 1:
+        raise PatternError(f"{format_pattern(pattern)} is not a window pattern")
+    (block,) = pattern.block_values
+    chain = sorted(range(len(block)), key=block.__getitem__)
+    return _window_match(rows, chain).sum(axis=1, dtype=np.int32)
 
 
 def _dominance(x: np.ndarray, weight: np.ndarray, y: np.ndarray, gap: int, n: int) -> np.ndarray:

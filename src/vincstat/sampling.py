@@ -24,11 +24,17 @@ Two independent constructions of the uniform distribution are provided:
 an in-place shuffle, and reduction of i.i.d. uniforms (rank the draws).
 They share no code past the bit generator and are used to cross-validate
 each other.
+
+The word sampler serves statistics that read only the order inside
+windows of a few neighbours.  It yields raw uint64 Philox words, unranked:
+sample i is row i mod B of block i // B of WORD_STREAM, with
+B = word_block_rows(n), and no two words of a row closer than the window
+are equal.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -42,10 +48,13 @@ __all__ = [
     "sample_uniform_batch",
     "sample_by_reduction_batch",
     "shuffle_block_rows",
+    "sample_words",
+    "word_block_rows",
     "SHUFFLE_STREAM",
     "REDUCTION_STREAM",
     "NORMAL_STREAM",
     "PINNED_STREAM",
+    "WORD_STREAM",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -55,9 +64,14 @@ SHUFFLE_STREAM = 0
 REDUCTION_STREAM = 1
 NORMAL_STREAM = 2
 PINNED_STREAM = 4
+WORD_STREAM = 5  # tag 3 was the retired bootstrap stream: never reuse it
 
 _BLOCK_CELLS = 1 << 16  # float entries per reduction block
 _SHUFFLE_CELLS = 1 << 12  # entries per shuffle block
+_WORD_CELLS = 1 << 16  # words per word block: fewer, larger random_raw calls
+                       # cost less per word (2^12-word blocks were 27% slower)
+_WORD_ROWS = 1 << 12  # and at most this many rows, montecarlo's chunk
+                      # size, so that a block fits a chunk at small n
 
 
 def shuffle_block_rows(n: int) -> int:
@@ -65,6 +79,14 @@ def shuffle_block_rows(n: int) -> int:
     i from substream i // shuffle_block_rows(n), so a block holds at most
     _SHUFFLE_CELLS entries, and one row once n > _SHUFFLE_CELLS / 2."""
     return max(1, _SHUFFLE_CELLS // n)
+
+
+def word_block_rows(n: int) -> int:
+    """Rows per word block at size n: sample_words draws sample i from
+    substream i // word_block_rows(n), so a block holds at most
+    _WORD_CELLS words and _WORD_ROWS rows, and one row once
+    n > _WORD_CELLS / 2."""
+    return max(1, min(_WORD_ROWS, _WORD_CELLS // n))
 
 
 def _check_key(seed: int, stream: int, first: int, count: int = 1) -> None:
@@ -93,7 +115,7 @@ def substream(seed: int, index: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _rekeyer(seed: int, stream: int) -> Callable[[int], np.random.Generator]:
+def _rekeyer(seed: int, stream: int) -> Callable[..., np.random.Generator]:
     """One Philox and Generator for the substreams of (seed, stream),
     built once.
 
@@ -101,13 +123,17 @@ def _rekeyer(seed: int, stream: int) -> Callable[[int], np.random.Generator]:
     word 1 becomes stream << 56 | index; the counter, the output buffer
     and the cached 32-bit half are reset through its state dict) and
     returns the same Generator, now in the state substream(seed, index,
-    stream) starts in.  The caller range-checks seed, stream and every
-    index with _check_key first.
+    stream) starts in.  Given a lane, it sets counter word 1 to it
+    instead of 0: Philox carries into that word only after 2^64 blocks
+    of four words, so each lane is a stream of its own under the same
+    key.  The caller range-checks seed, stream and every index with
+    _check_key first.
     """
     key = [seed, 0]
+    counter = [0, 0, 0, 0]
     state = {
         "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "state": {"counter": counter, "key": key},
         "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,  # buffer used up: the next draw computes a block
         "has_uint32": 0,
@@ -117,8 +143,9 @@ def _rekeyer(seed: int, stream: int) -> Callable[[int], np.random.Generator]:
     gen = np.random.Generator(bit_gen)
     word = stream << _INDEX_BITS
 
-    def rekey(index: int) -> np.random.Generator:
+    def rekey(index: int, lane: int = 0) -> np.random.Generator:
         key[1] = word | index
+        counter[1] = lane
         bit_gen.state = state
         return gen
 
@@ -215,3 +242,70 @@ def sample_by_reduction_batch(n: int, seed: int, count: int, start: int = 0) -> 
             redrawn = _reduction_draw(rekey(start + first + r), n)
             out[first + r] = np.argsort(np.argsort(redrawn)) + 1
     return out
+
+
+def _raw_words(bit_gen: np.random.BitGenerator, count: int) -> np.ndarray:
+    # The word sampler's only draw, kept apart so that tests can make ties
+    # frequent by drawing few-bit words.
+    return bit_gen.random_raw(count)
+
+
+def _window_ties(words: np.ndarray, window: int) -> np.ndarray:
+    """Indices of the rows of words, a C-contiguous (rows, n) array, with
+    two equal entries fewer than window positions apart."""
+    flat = words.ravel()
+    # Comparing the flat block costs a fraction of the per-row slices; it
+    # also pairs the end of each row with the start of the next, so a hit
+    # only asks for the per-row look.
+    if not any((flat[d:] == flat[:-d]).any() for d in range(1, window)):
+        return np.empty(0, dtype=np.intp)
+    tied = np.zeros(len(words), dtype=bool)
+    for d in range(1, window):
+        tied |= (words[:, d:] == words[:, :-d]).any(axis=1)
+    return np.flatnonzero(tied)
+
+
+def sample_words(
+    n: int, seed: int, count: int, start: int = 0, window: int = 2
+) -> Iterator[np.ndarray]:
+    """Samples start..start+count-1 as rows of n raw uint64 Philox words,
+    yielded in order as (rows, n) blocks, one per word block touched.
+
+    With B = word_block_rows(n), sample s is row s mod B of block s // B,
+    whose rows are the successive n-word runs of Philox.random_raw on
+    substream(seed, s // B, WORD_STREAM).  A row with two equal words
+    fewer than window positions apart is redrawn, n words at a time until
+    it has none, from lane (s mod B) + 1 of the same key (see _rekeyer).
+    So every row depends on its sample index alone, however the samples
+    are batched; a batch that starts mid-block draws and drops that
+    block's leading rows.  The arguments are checked on the call, before
+    any block is drawn.
+
+    Ranked, a row is a uniform permutation, up to the probability of a tie
+    between words farther apart, at most C(n, 2) * 2^-64 per row in total
+    variation.  A count that reads only the order inside windows of at
+    most `window` neighbours can be made on the words as they are.
+    """
+    if n < 1:
+        raise ZeroSize(f"cannot sample a permutation of size {n}")
+    _check_key(seed, WORD_STREAM, start, count)
+    return _word_blocks(n, seed, count, start, window)
+
+
+def _word_blocks(n: int, seed: int, count: int, start: int, window: int) -> Iterator[np.ndarray]:
+    rekey = _rekeyer(seed, WORD_STREAM)
+    rows = word_block_rows(n)
+    stop = start + count
+    for block in range(start // rows, -(-stop // rows)):
+        first = block * rows
+        kept = max(start, first)
+        bit_gen = rekey(block).bit_generator
+        drawn = _raw_words(bit_gen, (min(stop, first + rows) - first) * n)
+        words = drawn.reshape(-1, n)[kept - first :]
+        for r in _window_ties(words, window):
+            rekey(block, kept - first + r + 1)
+            row = words[r : r + 1]
+            row[:] = _raw_words(bit_gen, n)
+            while _window_ties(row, window).size:
+                row[:] = _raw_words(bit_gen, n)
+        yield words

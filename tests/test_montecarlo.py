@@ -14,7 +14,7 @@ from vincstat.errors import (
     SizeLimitExceeded,
     TooFewSamples,
 )
-from vincstat import montecarlo, positions
+from vincstat import montecarlo, positions, sampling
 from vincstat.montecarlo import (
     _CHUNK,
     _normal_cdf,
@@ -31,6 +31,7 @@ from vincstat.sampling import (
     sample_uniform_batch,
     shuffle_block_rows,
     substream,
+    word_block_rows,
 )
 
 
@@ -249,10 +250,10 @@ def test_merge_work_stays_linear_in_the_pairs(monkeypatch):
 
 
 def test_run_experiment_deterministic_and_thread_invariant(monkeypatch):
-    # m spans four sampling chunks, so two and three workers really split
-    # the work (chunks of 3128, 3128, 2992 and 3041 samples, cut on shuffle
-    # blocks of 136).  Three CPUs in the mask, so that three workers start
-    # on a smaller machine too.
+    # m spans six sampling chunks, so two and three workers really split
+    # the work (five word blocks of 2184 samples and one of 1369).  Three
+    # CPUs in the mask, so that three workers start on a smaller machine
+    # too.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     p = parse_pattern("2,1")
     m = 3 * _CHUNK + 1
@@ -450,6 +451,14 @@ def test_sweep_path_reports_equal_chain_path_reports(monkeypatch, text, n):
     assert not chain_calls
     # The plan then lists a position matrix for the chain kernel.
     monkeypatch.setattr(positions, "is_path_shaped", lambda pattern: False)
+    if p.block_count == 1:
+        # A window pattern is counted on raw words: the chain kernel gets
+        # the ranked words of the same blocks.
+        def ranked(block, pattern):
+            ranks = np.argsort(np.argsort(block, axis=1), axis=1) + 1
+            return count_rows(ranks, pattern, plan_count(n, pattern))
+
+        monkeypatch.setattr(montecarlo, "count_windows", ranked)
     assert run_experiment(p, n=n, m=1_500, seed=17, threads=1) == sweep
     assert chain_calls
 
@@ -464,6 +473,8 @@ def test_sweep_path_is_thread_invariant():
 @pytest.mark.parametrize("text", ["3|1,2", "2,1"])
 def test_chunk_cell_bound_leaves_reports_alone(monkeypatch, text):
     # A cell budget of 500 at n = 50 cuts 300 samples into 30 chunks of 10.
+    # A shuffle block of 81 rows or a word block of 1310 does not fit, so
+    # the chunks start inside blocks, drawing and dropping leading rows.
     p = parse_pattern(text)
     whole = run_experiment(p, n=50, m=300, seed=8, threads=1)
     monkeypatch.setattr(montecarlo, "_CHUNK_CELLS", 500)
@@ -479,11 +490,16 @@ def test_chunk_cell_bound_leaves_reports_alone(monkeypatch, text):
     assert seen == [10] * 30
 
 
-@pytest.mark.parametrize("text", ["3|1,2", "2,1"])
-def test_chunks_are_equal_and_leave_reports_alone(monkeypatch, text):
-    # At most 81 rows a chunk (n = 6400's 2^19 // n, where a shuffle
-    # block is one row) cut 200 samples into 67, 67 and 66, not 81, 81
-    # and 38; the report equals the one from a single chunk.
+@pytest.mark.parametrize(
+    "text, expected",
+    [("3|1,2", [(0, 67), (67, 67), (134, 66)]), ("2,1", [(0, 70), (70, 70), (140, 60)])],
+    ids=["3|1,2", "2,1"],
+)
+def test_chunks_are_equal_and_leave_reports_alone(monkeypatch, text, expected):
+    # At most 81 rows a chunk (n = 6400's 2^19 // n) cut 200 samples into
+    # equal chunks, not 81, 81 and 38: 67, 67 and 66 where a shuffle block
+    # is one row, and whole word blocks of 10 rows for a window pattern.
+    # The report equals the one from a single chunk.
     p = parse_pattern(text)
     cells = montecarlo._CHUNK_CELLS
     monkeypatch.setattr(montecarlo, "_CHUNK_CELLS", 2**30)
@@ -498,24 +514,23 @@ def test_chunks_are_equal_and_leave_reports_alone(monkeypatch, text):
 
     monkeypatch.setattr(montecarlo, "_count_chunk", recording)
     assert run_experiment(p, n=6400, m=200, seed=4, threads=1) == whole
-    assert seen == [(0, 67), (67, 67), (134, 66)]
+    assert seen == expected
 
 
-@pytest.mark.parametrize("n, m", [(100, 3 * _CHUNK + 1), (1600, 1001), (6, 3 * _CHUNK + 1)])
-def test_chunks_start_on_shuffle_blocks(monkeypatch, n, m):
-    # Every chunk starts on a shuffle block, so no row is drawn twice; the
-    # chunks keep to both caps, differ by at most one block, and give the
-    # report of a single chunk.  Blocks hold 40, 2 and 682 rows.
-    p = parse_pattern("2,1")
-    rows = shuffle_block_rows(n)
+def _chunks_start_on_sampler_blocks(monkeypatch, text, n, m, sampler, rows):
+    # Every chunk starts on a block of the sampler the plan chose, so no
+    # row is drawn twice; the chunks keep to both caps, differ by at most
+    # one block, and give the report of a single chunk.
+    p = parse_pattern(text)
     cap = min(_CHUNK, montecarlo._CHUNK_CELLS // n)
     drawn = []
+    draw = getattr(montecarlo, sampler)
 
-    def spy(n_, seed, count, start):
+    def spy(n_, seed, count, start, *window):
         drawn.append((start, count))
-        return sample_uniform_batch(n_, seed, count, start)
+        return draw(n_, seed, count, start, *window)
 
-    monkeypatch.setattr(montecarlo, "sample_uniform_batch", spy)
+    monkeypatch.setattr(montecarlo, sampler, spy)
     chunked = run_experiment(p, n=n, m=m, seed=6, threads=1)
     starts, counts = zip(*drawn)
     assert len(drawn) > 1
@@ -529,20 +544,55 @@ def test_chunks_start_on_shuffle_blocks(monkeypatch, n, m):
     assert drawn == [(0, m)]
 
 
+@pytest.mark.parametrize("n, m", [(100, 3 * _CHUNK + 1), (1600, 1001), (6, 3 * _CHUNK + 1)])
+def test_chunks_start_on_shuffle_blocks(monkeypatch, n, m):
+    # Shuffle blocks hold 40, 2 and 682 rows.
+    rows = shuffle_block_rows(n)
+    _chunks_start_on_sampler_blocks(monkeypatch, "3|1,2", n, m, "sample_uniform_batch", rows)
+
+
+@pytest.mark.parametrize("n, m", [(100, 3 * _CHUNK + 1), (6400, 1001), (6, 3 * _CHUNK + 1)])
+def test_chunks_start_on_word_blocks(monkeypatch, n, m):
+    # Word blocks hold 655, 10 and, capped at one chunk, 4096 rows.
+    rows = word_block_rows(n)
+    assert rows == {100: 655, 6400: 10, 6: _CHUNK}[n]
+    _chunks_start_on_sampler_blocks(monkeypatch, "2,1", n, m, "sample_words", rows)
+
+
+def test_window_reports_under_forced_ties_ignore_threads_and_chunks(monkeypatch):
+    # Three-bit words tie in most rows of 3,2,1 at n = 8, so the redraws
+    # matter; two workers, and chunks of 7 rows that start inside the
+    # 4096-row word blocks, must give the single-worker report.  The
+    # workers are forked (the default on Linux before Python 3.14), so
+    # they draw with the patched words too.
+    monkeypatch.setattr(
+        sampling, "_raw_words", lambda bit_gen, count: bit_gen.random_raw(count) & np.uint64(7)
+    )
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    p = parse_pattern("3,2,1")
+    m = _CHUNK + 1
+    one = run_experiment(p, n=8, m=m, seed=12, threads=1)
+    assert run_experiment(p, n=8, m=m, seed=12, threads=2) == one
+    monkeypatch.setattr(montecarlo, "_CHUNK_CELLS", 7 * 8)
+    assert run_experiment(p, n=8, m=m, seed=12, threads=1) == one
+
+
 def test_sweep_path_size_guards(monkeypatch):
     # The n - k + 1 window starts are bounded by the listing cap ...
     monkeypatch.setenv("VINCSTAT_LISTING_CAP", "1000")
     assert run_experiment(parse_pattern("3|1,2"), n=1_002, m=100, seed=0).n == 1_002
+    assert run_experiment(parse_pattern("2,1"), n=1_001, m=100, seed=0).n == 1_001
+    # ... and the int64 DP weights by 2^63 - 1; all refuse before sampling,
+    # on shuffled permutations or raw words.
+    monkeypatch.setattr(montecarlo, "sample_uniform_batch", None)
+    monkeypatch.setattr(montecarlo, "sample_words", None)
     with pytest.raises(SizeLimitExceeded, match="listing cap"):
         run_experiment(parse_pattern("3|1,2"), n=1_003, m=100, seed=0)
-    assert run_experiment(parse_pattern("2,1"), n=1_001, m=100, seed=0).n == 1_001
     with pytest.raises(SizeLimitExceeded, match="listing cap"):
         run_experiment(parse_pattern("2,1"), n=1_002, m=100, seed=0)
     monkeypatch.delenv("VINCSTAT_LISTING_CAP")
-    # ... and the int64 DP weights by 2^63 - 1; both refuse before sampling.
     wide = parse_pattern("1|2|3|4|5")
     assert position_count(100_000, wide) > 2**63 - 1
-    monkeypatch.setattr(montecarlo, "sample_uniform_batch", None)
     with pytest.raises(SizeLimitExceeded, match="overflow"):
         run_experiment(wide, n=100_000, m=100, seed=0)
 
@@ -552,6 +602,7 @@ def test_exact_moment_limit_is_read_before_sampling(monkeypatch):
     # malformed limit is reported without drawing a sample.
     monkeypatch.setenv("VINCSTAT_MAX_K", "abc")
     monkeypatch.setattr(montecarlo, "sample_uniform_batch", None)
+    monkeypatch.setattr(montecarlo, "sample_words", None)
     for unsafe in (False, True):
         with pytest.raises(MalformedLimit, match="VINCSTAT_MAX_K"):
             run_experiment(parse_pattern("2,1"), n=1_600, m=40_000, seed=0, unsafe=unsafe)

@@ -29,6 +29,7 @@ from vincstat.positions import (
     count_occurrences_batch,
     count_occurrences_sweep,
     count_rows,
+    count_windows,
     enumerate_position_sets,
     is_path_shaped,
     occurs_at,
@@ -38,7 +39,7 @@ from vincstat.positions import (
     shift_bijection,
     shift_bijection_inverse,
 )
-from vincstat.sampling import sample_uniform_batch
+from vincstat.sampling import sample_uniform_batch, sample_words
 
 
 def test_enumeration_example():
@@ -301,6 +302,21 @@ def _path_shaped_by_definition(pattern) -> bool:
         return False
     pairs = list(zip(blocks, blocks[1:]))
     return all(max(a) < min(b) for a, b in pairs) or all(min(a) > max(b) for a, b in pairs)
+
+
+@pytest.mark.parametrize("text", ["2,1", "1,2", "3,2,1", "1,3,2", "2,4,1,3"])
+def test_window_counts_on_raw_words_equal_counts_on_their_ranks(text):
+    # count_windows reads only the order inside windows, so counting the
+    # raw words of the word sampler equals counting their ranks.
+    p = parse_pattern(text)
+    for n in (p.size, 9, 300):
+        for words in sample_words(n, seed=n, count=50, start=7, window=p.size):
+            ranks = np.argsort(np.argsort(words, axis=1), axis=1) + 1
+            got = count_windows(words, p)
+            assert got.dtype == np.int32
+            assert np.array_equal(got, count_rows(ranks, p, plan_count(n, p)))
+    with pytest.raises(PatternError):
+        count_windows(np.zeros((1, 5), dtype=np.uint64), parse_pattern("1|2"))
 
 
 def test_path_shape_predicate_matches_its_definition():

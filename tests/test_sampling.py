@@ -7,21 +7,31 @@ from scipy.stats import chisquare
 
 from vincstat import sampling
 from vincstat.errors import ZeroSize
+from vincstat.patterns import parse_pattern
 from vincstat.sampling import (
     REDUCTION_STREAM,
     SHUFFLE_STREAM,
+    WORD_STREAM,
     sample_by_reduction,
     sample_by_reduction_batch,
     sample_uniform,
     sample_uniform_batch,
+    sample_words,
     shuffle_block_rows,
     substream,
+    word_block_rows,
 )
 
 
 def _block_rows(n):
     """Rows per shuffle block: a block holds at most 2^12 entries."""
     return max(1, 4096 // n)
+
+
+def _words(n, seed, count, start=0, window=2):
+    """The rows sample_words yields, as one (count, n) array."""
+    blocks = sample_words(n, seed, count, start, window)
+    return np.concatenate([np.empty((0, n), dtype=np.uint64), *blocks])
 
 
 def test_size_one_and_errors():
@@ -33,6 +43,8 @@ def test_size_one_and_errors():
         sample_by_reduction(-2, seed=0)
     with pytest.raises(ZeroSize):
         sample_uniform_batch(0, seed=0, count=3)
+    with pytest.raises(ZeroSize):
+        sample_words(0, seed=0, count=3)
 
 
 def test_determinism_and_substream_separation():
@@ -187,7 +199,7 @@ def test_batch_rows_equal_fresh_substreams_at_the_key_edges(seed, start):
 
 
 def test_batch_index_range_check():
-    for batch_fn in (sample_uniform_batch, sample_by_reduction_batch):
+    for batch_fn in (sample_uniform_batch, sample_by_reduction_batch, _words):
         with pytest.raises(ValueError):
             batch_fn(5, seed=0, count=4, start=2**56 - 3)
         with pytest.raises(ValueError):
@@ -199,8 +211,12 @@ def test_batch_index_range_check():
 
 def test_an_empty_batch_checks_its_start():
     # The start index is checked even when no row is drawn, and a bad
-    # start is the index named, whatever the count.
-    for batch_fn in (sample_uniform_batch, sample_by_reduction_batch):
+    # start is the index named, whatever the count.  The word sampler
+    # checks on the call, before any block is drawn.
+    for start in (-1, 2**56):
+        with pytest.raises(ValueError, match=f"sample index {start} "):
+            sample_words(5, seed=0, count=0, start=start)
+    for batch_fn in (sample_uniform_batch, sample_by_reduction_batch, _words):
         for start in (-1, 2**56, 2**60):
             for count in (0, 3):
                 with pytest.raises(ValueError, match=f"sample index {start} "):
@@ -297,3 +313,80 @@ def test_reduction_rows_are_permutations():
     expected = np.arange(1, 31)
     for row in rows:
         assert np.array_equal(np.sort(row), expected)
+
+
+def _word_block_rows(n):
+    """Rows per word block: at most 2^16 words and 2^12 rows."""
+    return max(1, min(4096, 65536 // n))
+
+
+def test_word_rows_follow_the_raw_philox_stream():
+    # Sample s is the (s mod B)-th run of n words of Philox.random_raw on
+    # the (seed, s // B) word substream, a raw stream NEP 19 keeps stable.
+    # Batches start at a block, cross a block boundary mid-block and sit
+    # at the top sample indices; n = 6 has the row cap, and n = 70 000 one
+    # row of more than 2^16 words a block.
+    for n in (1, 2, 6, 25, 100, 6400, 2**15 + 1, 70_000):
+        rows = _word_block_rows(n)
+        assert word_block_rows(n) == rows
+        for seed, start, count in (
+            (0, 0, 3),
+            (314, 10, 3),
+            (314, 2 * rows - 2, 4),
+            (2**64 - 1, 2**56 - 3, 3),
+        ):
+            expected = []
+            for s in range(start, start + count):
+                block, r = divmod(s, rows)
+                key = np.array([seed, WORD_STREAM << 56 | block], dtype=np.uint64)
+                expected.append(np.random.Philox(key=key).random_raw((r + 1) * n)[r * n :])
+            got = _words(n, seed, count, start)
+            assert got.dtype == np.uint64
+            assert np.array_equal(got, np.array(expected)), (n, seed, start)
+
+
+def _few_bits(bits, draws=None):
+    """A stand-in for sampling._raw_words that keeps the low bits of each
+    word, so ties are frequent; it records each draw's size."""
+
+    def draw(bit_gen, count):
+        if draws is not None:
+            draws.append(count)
+        return bit_gen.random_raw(count) & np.uint64((1 << bits) - 1)
+
+    return draw
+
+
+@pytest.mark.parametrize("text", ["3,2,1", "2,4,1,3"])
+def test_forced_ties_leave_no_tie_inside_a_window(monkeypatch, text):
+    # Four-bit words tie often.  Every kept row is redrawn until no two of
+    # its words fewer than k positions apart are equal; ties farther apart
+    # stay, since a window count never compares them.
+    n, k = 8, parse_pattern(text).size
+    draws = []
+    monkeypatch.setattr(sampling, "_raw_words", _few_bits(4, draws))
+    rows = _words(n, seed=3, count=500, start=40, window=k)
+    assert rows.shape == (500, n) and rows.max() < 16
+    assert draws.count(n) > 100  # many rows were redrawn
+    for d in range(1, k):
+        assert not (rows[:, d:] == rows[:, :-d]).any(), d
+    assert (rows[:, k:] == rows[:, :-k]).any()
+
+
+@pytest.mark.parametrize("bits", [4, 64])
+def test_any_window_of_a_word_batch_is_a_slice_of_one_long_batch(monkeypatch, bits):
+    # Blocks of five rows.  Windows that start and end on block boundaries
+    # and inside blocks, empty ones included, equal the slice of one long
+    # batch: with four-bit words too, where most rows are redrawn, each
+    # from its own lane whatever the batch.
+    n, k, rows = 7, 4, 5
+    monkeypatch.setattr(sampling, "_raw_words", _few_bits(bits))
+    monkeypatch.setattr(sampling, "_WORD_CELLS", rows * n)
+    assert word_block_rows(n) == rows
+    whole = _words(n, seed=9, count=3 * rows + 2, window=k)
+    for start in sorted({0, 1, rows - 1, rows, rows + 1, 2 * rows - 1, 2 * rows + 1}):
+        for count in sorted({0, 1, rows - 1, rows, rows + 1}):
+            window = _words(n, seed=9, count=count, start=start, window=k)
+            assert np.array_equal(window, whole[start : start + count]), (start, count)
+    for index in range(len(whole)):
+        assert np.array_equal(_words(n, seed=9, count=1, start=index, window=k)[0], whole[index])
