@@ -1,7 +1,7 @@
 """Monte Carlo verification of the normal limit.
 
-Draws seeded permutations (for a window pattern, rows of raw words in
-the same relative order), standardizes the occurrence count with the
+Draws seeded permutations (for a window pattern, uint32 rows in the
+same order inside windows), standardizes the occurrence count with the
 exact mean and variance whenever the exact machinery covers the pattern,
 and summarizes the sample by its Kolmogorov distance to the standard
 normal and its first four sample cumulants.  A least-squares fit of
@@ -177,8 +177,8 @@ class MonteCarloReport:
 
 def _count_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     """The distinct occurrence counts of one chunk of samples and their
-    frequencies.  Raw words are counted block by block, so no array of
-    the chunk's words is built."""
+    frequencies.  Word blocks are counted as they are yielded, so no
+    array of the chunk's words is built."""
     pattern, n, seed, start, count, plan, words = args
     if words:
         blocks = sample_words(n, seed, count, start, pattern.size)
@@ -235,8 +235,9 @@ def run_experiment(
     The plan also chooses the sampler.  A window pattern (j = 1) reads
     only the order inside windows of k neighbours, which the relative
     order of i.i.d. uniform words gives as a shuffle would: its samples
-    are raw Philox words (sampling.sample_words), counted block by block
-    by positions.count_windows.  Every other pattern is counted by
+    are rows of 32-bit halves of Philox words, widened where a window
+    ties (sampling.sample_words), counted block by block by
+    positions.count_windows.  Every other pattern is counted by
     positions.count_rows on shuffled permutations
     (sampling.sample_uniform_batch), since the sweep and the scans index
     by value.  The samples are drawn in the fewest chunks of at most

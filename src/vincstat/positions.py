@@ -25,7 +25,7 @@ kernel, count_occurrences_batch, tests every set of a position_matrix
 with k-1 comparisons; it serves every other shape, under the listing
 cap, and is the reference the sweep is tested against.  count_windows
 makes the sweep's window comparisons on rows that need not be
-permutations, such as the raw words of sampling.sample_words.
+permutations, such as the uint32 words of sampling.sample_words.
 """
 
 from __future__ import annotations
@@ -320,12 +320,24 @@ def _check_sweep_size(n: int, pattern: VincularPattern) -> None:
 
 
 def _window_match(v: np.ndarray, chain: list[int]) -> np.ndarray:
-    # Start s matches when v[s + chain[0]] < v[s + chain[1]] < ..., on the
-    # rows as given, in any integer dtype.
-    span = v.shape[1] - len(chain) + 1
-    ok = np.ones((v.shape[0], span), dtype=bool)
+    """(rows, n) mask of the starts s of v, a 2-D array in any real
+    dtype, with v[s + chain[0]] < v[s + chain[1]] < ...; the last k - 1
+    starts of each row, whose windows would run into the next row, are
+    False.
+
+    Each link compares the flattened rows once (a copy of v if it is a
+    strided view), which costs a fraction of per-row slices on short
+    rows, and the mask stays contiguous, which a row sum reads faster
+    than a slice of it.
+    """
+    rows, n = v.shape
+    flat = v.reshape(-1)
+    size = max(0, flat.size - len(chain) + 1)
+    ok = np.ones(rows * n, dtype=bool)
     for lo, hi in zip(chain, chain[1:]):
-        ok &= v[:, lo : lo + span] < v[:, hi : hi + span]
+        ok[:size] &= flat[lo : lo + size] < flat[hi : hi + size]
+    ok = ok.reshape(rows, n)
+    ok[:, max(0, n - len(chain) + 1) :] = False
     return ok
 
 
@@ -334,7 +346,9 @@ def count_windows(rows: np.ndarray, pattern: VincularPattern) -> np.ndarray:
     of any real dtype, as int32: the row sums of _window_match, the
     comparisons count_occurrences_sweep makes.  Only the order inside
     each window of k neighbours is read, so a row need not be a
-    permutation; its entries must differ within every window."""
+    permutation; its entries must differ within every window.  The
+    uint32 blocks of sampling.sample_words are counted as yielded, rows
+    of 32-bit halves and rows of ranks alike."""
     if pattern.block_count != 1:
         raise PatternError(f"{format_pattern(pattern)} is not a window pattern")
     (block,) = pattern.block_values
@@ -443,8 +457,9 @@ def count_occurrences_sweep(perms: np.ndarray, pattern: VincularPattern) -> np.n
                      W_i(s) * [sigma(s + argmax_i) < sigma(t + argmin_{i+1})],
     and the count is the sum of W_j; a window pattern (j = 1) takes no
     step.  The blocks rise: a pattern whose blocks fall runs as its
-    reverse on perms[:, ::-1], a view (_rising_blocks).  The window tests
-    and the steps read the rows as given, in their integer dtype.  Each
+    reverse on perms[:, ::-1] (_rising_blocks), a view that each row
+    sub-chunk copies once.  The window tests and the steps read the rows
+    in their integer dtype.  Each
     row's W_j is summed into the int64 counts, a window mask (j = 1) in
     int32 first.  Each step is a weighted dominance count (_dominance),
     about n^1.5 cells per row, over row sub-chunks of at most
@@ -481,15 +496,18 @@ def count_occurrences_sweep(perms: np.ndarray, pattern: VincularPattern) -> np.n
         return _two_block_scan(perms, *chains)
     step = max(1, _SWEEP_CELLS // (n + 1))
     for lo in range(0, m, step):
-        rows = perms[lo : lo + step]
+        # Mirrored rows are copied here once, not by every flat window
+        # test (_window_match), and the steps read contiguous slices.
+        rows = np.ascontiguousarray(perms[lo : lo + step])
         weight = _window_match(rows, chains[0])
         for prev, nxt in zip(chains, chains[1:]):
-            match = _window_match(rows, nxt)
-            x = rows[:, prev[-1] : prev[-1] + weight.shape[1]]
-            y = rows[:, nxt[0] : nxt[0] + match.shape[1]]
+            x = rows[:, prev[-1] : prev[-1] + n - len(prev) + 1]
+            y = rows[:, nxt[0] : nxt[0] + n - len(nxt) + 1]
+            match = _window_match(rows, nxt)[:, : y.shape[1]]
             # einsum over two bool operands would return bool: the first
             # weight enters as int64.
-            weight = match * _dominance(x, weight.astype(np.int64, copy=False), y, len(prev), n)
+            source = weight[:, : x.shape[1]].astype(np.int64, copy=False)
+            weight = match * _dominance(x, source, y, len(prev), n)
         if len(chains) == 1:
             # A bool sum would add in int64; a window's matches in a row
             # are at most n - k + 1, which int32 holds, at half the cost.

@@ -26,10 +26,14 @@ They share no code past the bit generator and are used to cross-validate
 each other.
 
 The word sampler serves statistics that read only the order inside
-windows of a few neighbours.  It yields raw uint64 Philox words, unranked:
-sample i is row i mod B of block i // B of WORD_STREAM, with
-B = word_block_rows(n), and no two words of a row closer than the window
-are equal.
+windows of a few neighbours.  It yields uint32 words, unranked: sample i
+is row i mod B of block i // B of WORD_STREAM, with B = word_block_rows(n),
+cut from the 32-bit halves of the block's raw Philox words.  Two equal
+entries of a row closer than the window are resolved from the row's own
+lane (sample_words), so no two entries of a yielded row closer than the
+window are equal.  Comparing two uniforms needs only their leading bits
+until those tie (Knuth & Yao, 1976), so half the Philox output of 64-bit
+words gives their law.
 """
 
 from __future__ import annotations
@@ -68,8 +72,9 @@ WORD_STREAM = 5  # tag 3 was the retired bootstrap stream: never reuse it
 
 _BLOCK_CELLS = 1 << 16  # float entries per reduction block
 _SHUFFLE_CELLS = 1 << 12  # entries per shuffle block
-_WORD_CELLS = 1 << 16  # words per word block: fewer, larger random_raw calls
-                       # cost less per word (2^12-word blocks were 27% slower)
+_WORD_CELLS = 1 << 16  # entries per word block: fewer, larger random_raw calls
+                       # cost less per entry (2^12-entry blocks of 64-bit
+                       # entries were 27% slower)
 _WORD_ROWS = 1 << 12  # and at most this many rows, montecarlo's chunk
                       # size, so that a block fits a chunk at small n
 
@@ -84,7 +89,7 @@ def shuffle_block_rows(n: int) -> int:
 def word_block_rows(n: int) -> int:
     """Rows per word block at size n: sample_words draws sample i from
     substream i // word_block_rows(n), so a block holds at most
-    _WORD_CELLS words and _WORD_ROWS rows, and one row once
+    _WORD_CELLS entries and _WORD_ROWS rows, and one row once
     n > _WORD_CELLS / 2."""
     return max(1, min(_WORD_ROWS, _WORD_CELLS // n))
 
@@ -250,6 +255,14 @@ def _raw_words(bit_gen: np.random.BitGenerator, count: int) -> np.ndarray:
     return bit_gen.random_raw(count)
 
 
+def _halves(bit_gen: np.random.BitGenerator, count: int) -> np.ndarray:
+    """The first count 32-bit halves of bit_gen's random_raw stream, low
+    half of each word first whatever the machine's byte order; for odd
+    count the last word's high half is dropped."""
+    words = _raw_words(bit_gen, -(-count // 2))
+    return words.astype("<u8", copy=False).view("<u4")[:count]
+
+
 def _window_ties(words: np.ndarray, window: int) -> np.ndarray:
     """Indices of the rows of words, a C-contiguous (rows, n) array, with
     two equal entries fewer than window positions apart."""
@@ -265,26 +278,48 @@ def _window_ties(words: np.ndarray, window: int) -> np.ndarray:
     return np.flatnonzero(tied)
 
 
+def _widened(bit_gen: np.random.BitGenerator, high: np.ndarray, window: int) -> np.ndarray:
+    """The within-row ranks, as uint32, of the 64-bit words high << 32 |
+    low, where high is a row of 32-bit words with a window tie and low
+    the next len(high) halves of bit_gen.  While those words tie inside
+    a window they are replaced by the next len(high) full words.  Ties
+    farther apart are ranked by position, which no window count reads."""
+    n = high.size
+    wide = high.astype(np.uint64) << np.uint64(32) | _halves(bit_gen, n)
+    while _window_ties(wide[None], window).size:
+        wide = _raw_words(bit_gen, n)
+    ranks = np.empty(n, dtype=np.uint32)
+    ranks[np.argsort(wide, kind="stable")] = np.arange(n, dtype=np.uint32)
+    return ranks
+
+
 def sample_words(
     n: int, seed: int, count: int, start: int = 0, window: int = 2
 ) -> Iterator[np.ndarray]:
-    """Samples start..start+count-1 as rows of n raw uint64 Philox words,
-    yielded in order as (rows, n) blocks, one per word block touched.
+    """Samples start..start+count-1 as rows of n uint32 words, yielded in
+    order as (rows, n) blocks, one per word block touched.
 
     With B = word_block_rows(n), sample s is row s mod B of block s // B,
-    whose rows are the successive n-word runs of Philox.random_raw on
-    substream(seed, s // B, WORD_STREAM).  A row with two equal words
-    fewer than window positions apart is redrawn, n words at a time until
-    it has none, from lane (s mod B) + 1 of the same key (see _rekeyer).
-    So every row depends on its sample index alone, however the samples
-    are batched; a batch that starts mid-block draws and drops that
-    block's leading rows.  The arguments are checked on the call, before
-    any block is drawn.
+    whose rows are the successive runs of n 32-bit halves, low half
+    first, of Philox.random_raw on substream(seed, s // B, WORD_STREAM).
+    A row with two equal entries fewer than window positions apart is
+    widened instead (_widened): its entries become the high halves of
+    64-bit words whose low halves are the next n halves of lane
+    (s mod B) + 1 of the same key (see _rekeyer), those words are drawn
+    afresh, n at a time from the same lane, while they tie inside a
+    window, and the row is written back as their within-row ranks.  So
+    every row depends on its sample index alone, however the samples are
+    batched; a batch that starts mid-block draws and drops that block's
+    leading rows.  The arguments are checked on the call, before any
+    block is drawn.
 
-    Ranked, a row is a uniform permutation, up to the probability of a tie
-    between words farther apart, at most C(n, 2) * 2^-64 per row in total
+    A row compares, inside every window, as n i.i.d. 64-bit words
+    conditioned on no window tie do: without a 32-bit window tie it
+    orders each window as its widened words would.  Ranked, such words
+    are a uniform permutation, up to the probability of a tie between
+    words farther apart, at most C(n, 2) * 2^-64 per row in total
     variation.  A count that reads only the order inside windows of at
-    most `window` neighbours can be made on the words as they are.
+    most `window` neighbours can be made on the rows as they are.
     """
     if n < 1:
         raise ZeroSize(f"cannot sample a permutation of size {n}")
@@ -293,6 +328,8 @@ def sample_words(
 
 
 def _word_blocks(n: int, seed: int, count: int, start: int, window: int) -> Iterator[np.ndarray]:
+    """sample_words' blocks, unchecked: one random_raw draw of half a
+    block's entries per block, then a re-key per widened row."""
     rekey = _rekeyer(seed, WORD_STREAM)
     rows = word_block_rows(n)
     stop = start + count
@@ -300,12 +337,9 @@ def _word_blocks(n: int, seed: int, count: int, start: int, window: int) -> Iter
         first = block * rows
         kept = max(start, first)
         bit_gen = rekey(block).bit_generator
-        drawn = _raw_words(bit_gen, (min(stop, first + rows) - first) * n)
+        drawn = _halves(bit_gen, (min(stop, first + rows) - first) * n)
         words = drawn.reshape(-1, n)[kept - first :]
         for r in _window_ties(words, window):
             rekey(block, kept - first + r + 1)
-            row = words[r : r + 1]
-            row[:] = _raw_words(bit_gen, n)
-            while _window_ties(row, window).size:
-                row[:] = _raw_words(bit_gen, n)
+            words[r] = _widened(bit_gen, words[r], window)
         yield words

@@ -31,7 +31,7 @@ def _block_rows(n):
 def _words(n, seed, count, start=0, window=2):
     """The rows sample_words yields, as one (count, n) array."""
     blocks = sample_words(n, seed, count, start, window)
-    return np.concatenate([np.empty((0, n), dtype=np.uint64), *blocks])
+    return np.concatenate([np.empty((0, n), dtype=np.uint32), *blocks])
 
 
 def test_size_one_and_errors():
@@ -320,12 +320,28 @@ def _word_block_rows(n):
     return max(1, min(4096, 65536 // n))
 
 
+def _halves(raw):
+    """The 32-bit halves of raw uint64 words, low half of each first,
+    split by value."""
+    return np.stack([raw & np.uint64(0xFFFFFFFF), raw >> np.uint64(32)], axis=1).ravel()
+
+
+def _lane(seed, block, lane=0):
+    """A fresh Philox on lane `lane` of the (seed, block) word substream:
+    its counter starts at word 1 = lane."""
+    key = np.array([seed, WORD_STREAM << 56 | block], dtype=np.uint64)
+    return np.random.Philox(key=key, counter=[0, lane, 0, 0])
+
+
 def test_word_rows_follow_the_raw_philox_stream():
-    # Sample s is the (s mod B)-th run of n words of Philox.random_raw on
-    # the (seed, s // B) word substream, a raw stream NEP 19 keeps stable.
-    # Batches start at a block, cross a block boundary mid-block and sit
-    # at the top sample indices; n = 6 has the row cap, and n = 70 000 one
-    # row of more than 2^16 words a block.
+    # Sample s is the (s mod B)-th run of n 32-bit halves, low half first,
+    # of Philox.random_raw on the (seed, s // B) word substream, a raw
+    # stream NEP 19 keeps stable.  Batches start at a block, cross a block
+    # boundary mid-block and sit at the top sample indices; n = 6 has the
+    # row cap, n = 25 blocks of 2621 rows, an odd 65 525 halves whose last
+    # word's high half is dropped, and n = 70 000 one row of more than
+    # 2^16 halves a block.
+    assert word_block_rows(25) * 25 == 65_525
     for n in (1, 2, 6, 25, 100, 6400, 2**15 + 1, 70_000):
         rows = _word_block_rows(n)
         assert word_block_rows(n) == rows
@@ -338,39 +354,120 @@ def test_word_rows_follow_the_raw_philox_stream():
             expected = []
             for s in range(start, start + count):
                 block, r = divmod(s, rows)
-                key = np.array([seed, WORD_STREAM << 56 | block], dtype=np.uint64)
-                expected.append(np.random.Philox(key=key).random_raw((r + 1) * n)[r * n :])
+                raw = _lane(seed, block).random_raw(-(-(r + 1) * n // 2))
+                expected.append(_halves(raw)[r * n : (r + 1) * n])
             got = _words(n, seed, count, start)
-            assert got.dtype == np.uint64
+            assert got.dtype == np.uint32
             assert np.array_equal(got, np.array(expected)), (n, seed, start)
 
 
-def _few_bits(bits, draws=None):
+def _few_bits(bits, draws=None, lanes=True):
     """A stand-in for sampling._raw_words that keeps the low bits of each
-    word, so ties are frequent; it records each draw's size."""
+    32-bit half (all of it for bits >= 32), so ties are frequent; it
+    records each draw's size.  With lanes False it keeps whole words on
+    the widening lanes, counter word 1 above 0."""
+    half = (1 << min(bits, 32)) - 1
+    mask = np.uint64(half << 32 | half)
 
     def draw(bit_gen, count):
         if draws is not None:
             draws.append(count)
-        return bit_gen.random_raw(count) & np.uint64((1 << bits) - 1)
+        lane = bit_gen.state["state"]["counter"][1]
+        raw = bit_gen.random_raw(count)
+        return raw if lane and not lanes else raw & mask
 
     return draw
 
 
+def _window_tied(rows, k):
+    """Whether each row has two equal entries fewer than k apart."""
+    return np.array([any((row[d:] == row[:-d]).any() for d in range(1, k)) for row in rows])
+
+
+def _ranks(wide):
+    ranks = np.empty(len(wide), dtype=np.int64)
+    ranks[np.argsort(wide, kind="stable")] = np.arange(len(wide))
+    return ranks
+
+
+def _expected_words(n, k, seed, count, mask):
+    """Rows 0..count-1 of the (seed, 0) word block, replayed from fresh
+    Philox lanes with every draw masked by mask: a row whose halves tie
+    inside a window is ranked as high << 32 | low, low the first n halves
+    of lane r + 1, those words replaced by the lane's next n words while
+    they tie inside a window."""
+    block = _halves(_lane(seed, 0).random_raw(-(-count * n // 2)) & mask)
+    block = block[: count * n].reshape(count, n)
+    out = block.astype(np.int64)
+    tied = _window_tied(block, k)
+    for r in np.flatnonzero(tied):
+        lane = _lane(seed, 0, r + 1)
+        low = _halves(lane.random_raw(-(-n // 2)) & mask)[:n]
+        wide = block[r] << np.uint64(32) | low
+        while _window_tied(wide[None], k)[0]:
+            wide = lane.random_raw(n) & mask
+        out[r] = _ranks(wide)
+    return out, tied
+
+
 @pytest.mark.parametrize("text", ["3,2,1", "2,4,1,3"])
 def test_forced_ties_leave_no_tie_inside_a_window(monkeypatch, text):
-    # Four-bit words tie often.  Every kept row is redrawn until no two of
-    # its words fewer than k positions apart are equal; ties farther apart
-    # stay, since a window count never compares them.
+    # Four-bit halves tie often, on the widening lanes too.  No kept row
+    # has two entries fewer than k positions apart that are equal.  A row
+    # without such a tie in its halves is the halves themselves, ties
+    # farther apart included, since a window count never compares them;
+    # a widened row is the ranks 0..n-1.
     n, k = 8, parse_pattern(text).size
     draws = []
     monkeypatch.setattr(sampling, "_raw_words", _few_bits(4, draws))
     rows = _words(n, seed=3, count=500, start=40, window=k)
     assert rows.shape == (500, n) and rows.max() < 16
-    assert draws.count(n) > 100  # many rows were redrawn
+    assert draws.count(n // 2) > 100  # many rows were widened
     for d in range(1, k):
         assert not (rows[:, d:] == rows[:, :-d]).any(), d
-    assert (rows[:, k:] == rows[:, :-k]).any()
+    expected, widened = _expected_words(n, k, 3, 540, np.uint64(0xF0000000F))
+    assert np.array_equal(rows, expected[40:])
+    plain = rows[~widened[40:]]
+    assert (plain[:, k:] == plain[:, :-k]).any()
+    assert (np.sort(rows[widened[40:]], axis=1) == np.arange(n)).all()
+
+
+@pytest.mark.parametrize("text", ["3,2,1", "2,4,1,3"])
+def test_a_window_tie_of_halves_is_widened_from_the_row_lane(monkeypatch, text):
+    # Four-bit halves on the block, whole words on the lanes: the 32-bit
+    # entries tie inside a window in most rows, their 64-bit words
+    # high << 32 | low do not, so no row is drawn afresh.  A widened row
+    # orders every window as those words do, low taken from lane r + 1.
+    n, k = 8, parse_pattern(text).size
+    draws = []
+    monkeypatch.setattr(sampling, "_raw_words", _few_bits(4, draws, lanes=False))
+    rows = _words(n, seed=5, count=300, window=k)
+    assert n not in draws and draws.count(n // 2) > 150
+    raw = _lane(5, 0).random_raw(300 * n // 2) & np.uint64(0xF0000000F)
+    high = _halves(raw).reshape(300, n)
+    widened = _window_tied(high, k)
+    assert widened.sum() > 150
+    assert np.array_equal(rows[~widened], high[~widened])
+    for r in np.flatnonzero(widened):
+        low = _halves(_lane(5, 0, r + 1).random_raw(n // 2))
+        wide = high[r] << np.uint64(32) | low
+        assert np.array_equal(rows[r], _ranks(wide)), r
+
+
+@pytest.mark.parametrize("text", ["3,2,1", "2,4,1,3"])
+def test_a_window_tie_of_widened_words_redraws_from_the_row_lane(monkeypatch, text):
+    # Two-bit halves everywhere: the widened 64-bit words tie inside a
+    # window often too, and are then drawn afresh, n whole words at a
+    # time from the same lane, until they do not.
+    n, k = 8, parse_pattern(text).size
+    draws = []
+    monkeypatch.setattr(sampling, "_raw_words", _few_bits(2, draws))
+    rows = _words(n, seed=7, count=300, window=k)
+    assert draws.count(n) > 100  # many widened rows were drawn afresh
+    expected, _ = _expected_words(n, k, 7, 300, np.uint64(0x300000003))
+    assert np.array_equal(rows, expected)
+    for d in range(1, k):
+        assert not (rows[:, d:] == rows[:, :-d]).any(), d
 
 
 @pytest.mark.parametrize("bits", [4, 64])
