@@ -235,9 +235,9 @@ def run_experiment(
     The plan also chooses the sampler.  A window pattern (j = 1) reads
     only the order inside windows of k neighbours, which the relative
     order of i.i.d. uniform words gives as a shuffle would: its samples
-    are rows of 32-bit halves of Philox words, widened where a window
-    ties (sampling.sample_words), counted block by block by
-    positions.count_windows.  Every other pattern is counted by
+    are rows of 32-bit halves of the words of a PCG64DXSM that Philox
+    seeds per block, widened where a window ties (sampling.sample_words),
+    counted block by block by positions.count_windows.  Every other pattern is counted by
     positions.count_rows on shuffled permutations
     (sampling.sample_uniform_batch), since the sweep and the scans index
     by value.  The samples are drawn in the fewest chunks of at most

@@ -1,10 +1,13 @@
 """Seeded uniform permutation sampling.
 
-Randomness comes from the counter-based Philox generator, keyed by the
-pair (seed, stream word).  The stream word packs a small domain tag and a
-substream index, so every substream is determined entirely by (seed,
-tag, index): results never depend on how work is sharded across workers,
-and any single sample can be regenerated in isolation with substream().
+Randomness is keyed by the counter-based Philox generator (Salmon et al.,
+2011), whose key is the pair (seed, stream word).  The stream word packs
+a small domain tag and a substream index, so every substream is
+determined entirely by (seed, tag, index): results never depend on how
+work is sharded across workers, and any single sample can be regenerated
+in isolation with substream().  Only the word sampler takes its bulk bits
+from another generator, a PCG64DXSM seeded from each substream's first
+Philox words.
 
 The reduction sampler draws sample i from substream i.  The shuffle
 sampler draws its samples in blocks of shuffle_block_rows(n) rows, about
@@ -28,12 +31,16 @@ each other.
 The word sampler serves statistics that read only the order inside
 windows of a few neighbours.  It yields uint32 words, unranked: sample i
 is row i mod B of block i // B of WORD_STREAM, with B = word_block_rows(n),
-cut from the 32-bit halves of the block's raw Philox words.  Two equal
+cut from the 32-bit halves of the raw words of a PCG64DXSM (O'Neill,
+2014) seeded from the block's first four Philox words.  PCG64DXSM gives
+a raw word in about 60% of Philox's time (numpy 2.4, x86-64), and Philox
+still keys every block, so rows keep depending on (seed, sample index)
+alone.  Two equal
 entries of a row closer than the window are resolved from the row's own
-lane (sample_words), so no two entries of a yielded row closer than the
-window are equal.  Comparing two uniforms needs only their leading bits
-until those tie (Knuth & Yao, 1976), so half the Philox output of 64-bit
-words gives their law.
+Philox lane (sample_words), so no two entries of a yielded row closer
+than the window are equal.  Comparing two uniforms needs only their
+leading bits until those tie (Knuth & Yao, 1976), so half the output of
+64-bit words gives their law.
 """
 
 from __future__ import annotations
@@ -250,8 +257,9 @@ def sample_by_reduction_batch(n: int, seed: int, count: int, start: int = 0) -> 
 
 
 def _raw_words(bit_gen: np.random.BitGenerator, count: int) -> np.ndarray:
-    # The word sampler's only draw, kept apart so that tests can make ties
-    # frequent by drawing few-bit words.
+    # The word sampler's draw of entries, from a block's PCG64DXSM or a
+    # row's Philox lane, kept apart so that tests can make ties frequent
+    # by drawing few-bit words.  Seeding the PCG64DXSM does not call it.
     return bit_gen.random_raw(count)
 
 
@@ -301,17 +309,18 @@ def sample_words(
 
     With B = word_block_rows(n), sample s is row s mod B of block s // B,
     whose rows are the successive runs of n 32-bit halves, low half
-    first, of Philox.random_raw on substream(seed, s // B, WORD_STREAM).
-    A row with two equal entries fewer than window positions apart is
-    widened instead (_widened): its entries become the high halves of
-    64-bit words whose low halves are the next n halves of lane
-    (s mod B) + 1 of the same key (see _rekeyer), those words are drawn
-    afresh, n at a time from the same lane, while they tie inside a
-    window, and the row is written back as their within-row ranks.  So
-    every row depends on its sample index alone, however the samples are
-    batched; a batch that starts mid-block draws and drops that block's
-    leading rows.  The arguments are checked on the call, before any
-    block is drawn.
+    first, of PCG64DXSM.random_raw on a PCG64DXSM whose state and
+    increment come from the first four words of Philox.random_raw on
+    substream(seed, s // B, WORD_STREAM) (_bulk_seeder).  A row with two
+    equal entries fewer than window positions apart is widened instead
+    (_widened): its entries become the high halves of 64-bit words whose
+    low halves are the next n halves of Philox lane (s mod B) + 1 of the
+    same key (see _rekeyer), those words are drawn afresh, n at a time
+    from the same lane, while they tie inside a window, and the row is
+    written back as their within-row ranks.  So every row depends on its
+    sample index alone, however the samples are batched; a batch that
+    starts mid-block draws and drops that block's leading rows.  The
+    arguments are checked on the call, before any block is drawn.
 
     A row compares, inside every window, as n i.i.d. 64-bit words
     conditioned on no window tie do: without a 32-bit window tie it
@@ -327,17 +336,41 @@ def sample_words(
     return _word_blocks(n, seed, count, start, window)
 
 
+def _bulk_seeder() -> Callable[[np.random.BitGenerator], np.random.BitGenerator]:
+    """One PCG64DXSM for a batch's word blocks, built once.
+
+    The returned function draws four words w0..w3 from a Philox, sets the
+    PCG64DXSM's state to w0 << 64 | w1 and its increment to
+    w2 << 64 | w3 | 1 (PCG needs an odd increment) through its state
+    dict, resets the cached 32-bit half, and returns it.
+    """
+    inner = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64DXSM", "state": inner, "has_uint32": 0, "uinteger": 0}
+    bulk = np.random.PCG64DXSM(0)
+
+    def seeded(philox: np.random.BitGenerator) -> np.random.BitGenerator:
+        w0, w1, w2, w3 = philox.random_raw(4).tolist()
+        inner["state"] = w0 << 64 | w1
+        inner["inc"] = w2 << 64 | w3 | 1
+        bulk.state = state
+        return bulk
+
+    return seeded
+
+
 def _word_blocks(n: int, seed: int, count: int, start: int, window: int) -> Iterator[np.ndarray]:
-    """sample_words' blocks, unchecked: one random_raw draw of half a
-    block's entries per block, then a re-key per widened row."""
+    """sample_words' blocks, unchecked: per block, a re-key, one
+    PCG64DXSM seeding and one random_raw draw of half the block's
+    entries, then a re-key per widened row."""
     rekey = _rekeyer(seed, WORD_STREAM)
+    seeded = _bulk_seeder()
     rows = word_block_rows(n)
     stop = start + count
     for block in range(start // rows, -(-stop // rows)):
         first = block * rows
         kept = max(start, first)
         bit_gen = rekey(block).bit_generator
-        drawn = _halves(bit_gen, (min(stop, first + rows) - first) * n)
+        drawn = _halves(seeded(bit_gen), (min(stop, first + rows) - first) * n)
         words = drawn.reshape(-1, n)[kept - first :]
         for r in _window_ties(words, window):
             rekey(block, kept - first + r + 1)

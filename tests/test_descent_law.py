@@ -1,11 +1,13 @@
-"""The word sampler against the exact law of the descent count.
+"""The samplers against the exact laws of the k = 2 pattern counts.
 
 The number of descents (and so of ascents) of a uniform permutation of
-size n follows the Eulerian distribution, known at every n; the
+size n follows the Eulerian distribution, and the number of inversions
+(and so of non-inversions) the Mahonian one, both known at every n; the
 brute-force oracle stops at n = 9.  The Dvoretzky-Kiefer-Wolfowitz
 inequality with Massart's constant (1990), P(sup |F_m - F| > eps) <=
-2 exp(-2 m eps^2), turns that law into a test of the sampler, the window
-counter and the chunking together, at sizes the oracle cannot reach.
+2 exp(-2 m eps^2), turns each law into a test of a sampler, its counter
+and the chunking together, at sizes the oracle cannot reach: the word
+sampler for descents, the shuffle sampler for inversions.
 """
 
 from math import log, sqrt
@@ -40,22 +42,58 @@ def test_eulerian_law_matches_the_oracle(n):
         assert abs(prob - float(exact.get(d, 0))) <= 1e-12, (n, d)
 
 
-@pytest.mark.parametrize("text", ["2,1", "1,2"])
-@pytest.mark.parametrize("n, m", [(100, 200_000), (1000, 100_000), (6400, 50_000)])
-def test_window_counts_stay_within_the_dkw_band_of_the_eulerian_law(monkeypatch, text, n, m):
-    # At alpha = 1e-6 a correct sampler fails this test once in a million
-    # seeds: eps is 0.0060 at m = 2*10^5, 0.0085 at m = 10^5 and 0.0120
-    # at m = 5*10^4.
-    alpha = 1e-6
-    eps = sqrt(log(2 / alpha) / (2 * m))
+def mahonian_law(n: int) -> np.ndarray:
+    """P(j inversions) for j = 0..C(n, 2) in a uniform permutation of size
+    n: the product over i = 2..n of (1 + q + ... + q^(i-1)) / i, each
+    factor applied as one difference of a cumulative sum."""
+    p = np.ones(1)
+    for size in range(2, n + 1):
+        summed = np.cumsum(np.concatenate([p, np.zeros(size - 1)]))
+        summed[size:] = summed[size:] - summed[:-size]
+        p = summed / size
+    return p
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_mahonian_law_matches_the_oracle(n):
+    exact = brute_force_distribution(parse_pattern("2|1"), n)
+    law = mahonian_law(n)
+    assert law.size == n * (n - 1) // 2 + 1
+    for j, prob in enumerate(law):
+        assert abs(prob - float(exact.get(j, 0))) <= 1e-12, (n, j)
+
+
+def _dkw_gap(monkeypatch, text, n, m, law, nulled):
+    """sup |F_m - F| between the merged counts of run_experiment (seed 1,
+    one thread, the sampler named by nulled set to None) and law, with
+    eps = sqrt(ln(2 / alpha) / (2 m)) at alpha = 1e-6: a correct sampler
+    exceeds eps once in a million seeds."""
     merged = []
     merge = montecarlo._merged
     monkeypatch.setattr(montecarlo, "_merged", lambda pieces: merged.append(merge(pieces)) or merged[-1])
-    monkeypatch.setattr(montecarlo, "sample_uniform_batch", None)  # raw words only
+    monkeypatch.setattr(montecarlo, nulled, None)
     run_experiment(parse_pattern(text), n=n, m=m, seed=1, threads=1)
     (values, freqs), = merged
-    assert freqs.sum() == m and 0 <= values.min() and values.max() < n
-    sampled = np.zeros(n)
+    assert freqs.sum() == m and 0 <= values.min() and values.max() < law.size
+    sampled = np.zeros(law.size)
     sampled[values] = freqs / m
-    gap = np.abs(np.cumsum(sampled) - np.cumsum(eulerian_law(n))).max()
+    gap = np.abs(np.cumsum(sampled) - np.cumsum(law)).max()
+    return gap, sqrt(log(2 / 1e-6) / (2 * m))
+
+
+@pytest.mark.parametrize("text", ["2,1", "1,2"])
+@pytest.mark.parametrize("n, m", [(100, 200_000), (1000, 100_000), (6400, 50_000)])
+def test_window_counts_stay_within_the_dkw_band_of_the_eulerian_law(monkeypatch, text, n, m):
+    # eps is 0.0060 at m = 2*10^5, 0.0085 at m = 10^5 and 0.0120 at
+    # m = 5*10^4; raw words only.
+    gap, eps = _dkw_gap(monkeypatch, text, n, m, eulerian_law(n), "sample_uniform_batch")
+    assert gap <= eps, (gap, eps)
+
+
+@pytest.mark.parametrize("text", ["2|1", "1|2"])
+@pytest.mark.parametrize("n, m", [(100, 100_000), (400, 50_000)])
+def test_inversion_counts_stay_within_the_dkw_band_of_the_mahonian_law(monkeypatch, text, n, m):
+    # eps is 0.0085 at m = 10^5 and 0.0120 at m = 5*10^4; shuffled
+    # permutations only.
+    gap, eps = _dkw_gap(monkeypatch, text, n, m, mahonian_law(n), "sample_words")
     assert gap <= eps, (gap, eps)

@@ -333,14 +333,30 @@ def _lane(seed, block, lane=0):
     return np.random.Philox(key=key, counter=[0, lane, 0, 0])
 
 
+def _bulk(seed, block):
+    """A fresh PCG64DXSM seeded from the first four words w0..w3 of lane
+    0 of the (seed, block) word substream: state w0 << 64 | w1, increment
+    w2 << 64 | w3 | 1."""
+    w0, w1, w2, w3 = (int(w) for w in _lane(seed, block).random_raw(4))
+    bit_gen = np.random.PCG64DXSM()
+    bit_gen.state = {
+        "bit_generator": "PCG64DXSM",
+        "state": {"state": w0 << 64 | w1, "inc": w2 << 64 | w3 | 1},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return bit_gen
+
+
 def test_word_rows_follow_the_raw_philox_stream():
     # Sample s is the (s mod B)-th run of n 32-bit halves, low half first,
-    # of Philox.random_raw on the (seed, s // B) word substream, a raw
-    # stream NEP 19 keeps stable.  Batches start at a block, cross a block
-    # boundary mid-block and sit at the top sample indices; n = 6 has the
-    # row cap, n = 25 blocks of 2621 rows, an odd 65 525 halves whose last
-    # word's high half is dropped, and n = 70 000 one row of more than
-    # 2^16 halves a block.
+    # of PCG64DXSM.random_raw seeded from the first four Philox words of
+    # the (seed, s // B) word substream; both raw streams are ones NEP 19
+    # keeps stable.  Batches start at a block, cross a block boundary
+    # mid-block and sit at the top sample indices; n = 6 has the row cap,
+    # n = 25 blocks of 2621 rows, an odd 65 525 halves whose last word's
+    # high half is dropped, and n = 70 000 one row of more than 2^16
+    # halves a block.
     assert word_block_rows(25) * 25 == 65_525
     for n in (1, 2, 6, 25, 100, 6400, 2**15 + 1, 70_000):
         rows = _word_block_rows(n)
@@ -354,7 +370,7 @@ def test_word_rows_follow_the_raw_philox_stream():
             expected = []
             for s in range(start, start + count):
                 block, r = divmod(s, rows)
-                raw = _lane(seed, block).random_raw(-(-(r + 1) * n // 2))
+                raw = _bulk(seed, block).random_raw(-(-(r + 1) * n // 2))
                 expected.append(_halves(raw)[r * n : (r + 1) * n])
             got = _words(n, seed, count, start)
             assert got.dtype == np.uint32
@@ -365,14 +381,15 @@ def _few_bits(bits, draws=None, lanes=True):
     """A stand-in for sampling._raw_words that keeps the low bits of each
     32-bit half (all of it for bits >= 32), so ties are frequent; it
     records each draw's size.  With lanes False it keeps whole words on
-    the widening lanes, counter word 1 above 0."""
+    the widening lanes, the Philox draws (the block draws come from a
+    PCG64DXSM)."""
     half = (1 << min(bits, 32)) - 1
     mask = np.uint64(half << 32 | half)
 
     def draw(bit_gen, count):
         if draws is not None:
             draws.append(count)
-        lane = bit_gen.state["state"]["counter"][1]
+        lane = isinstance(bit_gen, np.random.Philox)
         raw = bit_gen.random_raw(count)
         return raw if lane and not lanes else raw & mask
 
@@ -391,12 +408,12 @@ def _ranks(wide):
 
 
 def _expected_words(n, k, seed, count, mask):
-    """Rows 0..count-1 of the (seed, 0) word block, replayed from fresh
-    Philox lanes with every draw masked by mask: a row whose halves tie
-    inside a window is ranked as high << 32 | low, low the first n halves
-    of lane r + 1, those words replaced by the lane's next n words while
-    they tie inside a window."""
-    block = _halves(_lane(seed, 0).random_raw(-(-count * n // 2)) & mask)
+    """Rows 0..count-1 of the (seed, 0) word block, replayed from a fresh
+    PCG64DXSM and fresh Philox lanes with every draw masked by mask: a
+    row whose halves tie inside a window is ranked as high << 32 | low,
+    low the first n halves of lane r + 1, those words replaced by the
+    lane's next n words while they tie inside a window."""
+    block = _halves(_bulk(seed, 0).random_raw(-(-count * n // 2)) & mask)
     block = block[: count * n].reshape(count, n)
     out = block.astype(np.int64)
     tied = _window_tied(block, k)
@@ -443,7 +460,7 @@ def test_a_window_tie_of_halves_is_widened_from_the_row_lane(monkeypatch, text):
     monkeypatch.setattr(sampling, "_raw_words", _few_bits(4, draws, lanes=False))
     rows = _words(n, seed=5, count=300, window=k)
     assert n not in draws and draws.count(n // 2) > 150
-    raw = _lane(5, 0).random_raw(300 * n // 2) & np.uint64(0xF0000000F)
+    raw = _bulk(5, 0).random_raw(300 * n // 2) & np.uint64(0xF0000000F)
     high = _halves(raw).reshape(300, n)
     widened = _window_tied(high, k)
     assert widened.sum() > 150
