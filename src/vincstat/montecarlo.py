@@ -1,7 +1,8 @@
 """Monte Carlo verification of the normal limit.
 
 Draws seeded permutations (for a window pattern, uint32 rows in the
-same order inside windows), standardizes the occurrence count with the
+same order inside windows; for a two-block pattern of size k <= 3, their
+inversion tables), standardizes the occurrence count with the
 exact mean and variance whenever the exact machinery covers the pattern,
 and summarizes the sample by its Kolmogorov distance to the standard
 normal and its first four sample cumulants.  A least-squares fit of
@@ -29,8 +30,14 @@ from . import config
 from .errors import DegenerateInput, EmptySample, PatternTooSmall, SizeLimitExceeded, TooFewSamples
 from .moments import exact_variance_at, expectation
 from .patterns import VincularPattern, format_pattern
-from .positions import count_rows, count_windows, plan_count
-from .sampling import sample_uniform_batch, sample_words, shuffle_block_rows, word_block_rows
+from .positions import code_countable, count_codes, count_rows, count_windows, plan_count
+from .sampling import (
+    sample_codes,
+    sample_uniform_batch,
+    sample_words,
+    shuffle_block_rows,
+    word_block_rows,
+)
 
 __all__ = [
     "CumulantEstimates",
@@ -175,16 +182,28 @@ class MonteCarloReport:
     used_exact_moments: bool
 
 
+def _sampler(pattern: VincularPattern) -> str:
+    """The sampler run_experiment draws the pattern's samples with:
+    "words" for a window pattern, "codes" for a code_countable one, and
+    "perms" (shuffled permutations) for every other pattern."""
+    if pattern.block_count == 1:
+        return "words"
+    return "codes" if code_countable(pattern) else "perms"
+
+
 def _count_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     """The distinct occurrence counts of one chunk of samples and their
-    frequencies.  Word blocks are counted as they are yielded, so no
-    array of the chunk's words is built."""
-    pattern, n, seed, start, count, plan, words = args
-    if words:
-        blocks = sample_words(n, seed, count, start, pattern.size)
-        counts = np.concatenate([count_windows(block, pattern) for block in blocks])
-    else:
+    frequencies.  Word and code blocks are counted as they are yielded,
+    so no array of the chunk's samples is built."""
+    pattern, n, seed, start, count, plan, sampler = args
+    if sampler == "perms":
         counts = count_rows(sample_uniform_batch(n, seed, count, start), pattern, plan)
+    else:
+        if sampler == "words":
+            blocks, count_block = sample_words(n, seed, count, start, pattern.size), count_windows
+        else:
+            blocks, count_block = sample_codes(n, seed, count, start), count_codes
+        counts = np.concatenate([count_block(block, pattern) for block in blocks])
     return np.unique(counts, return_counts=True)
 
 
@@ -237,18 +256,24 @@ def run_experiment(
     order of i.i.d. uniform words gives as a shuffle would: its samples
     are rows of 32-bit halves of the words of a PCG64DXSM that Philox
     seeds per block, widened where a window ties (sampling.sample_words),
-    counted block by block by positions.count_windows.  Every other pattern is counted by
-    positions.count_rows on shuffled permutations
-    (sampling.sample_uniform_batch), since the sweep and the scans index
-    by value.  The samples are drawn in the fewest chunks of at most
-    _CHUNK samples and _CHUNK_CELLS permutation entries.  Chunks are cut
-    on the sampler's blocks of B rows (sampling.word_block_rows(n) or
-    sampling.shuffle_block_rows(n)), so no chunk redraws a row another
-    chunk drew, and their sizes differ by at most B (by at most one when
-    B = 1): that keeps the largest chunk, and with it peak memory, as
-    small as that many chunks allow.  (Full chunks and a thin remainder
-    would count no slower.)  Should a block not fit the caps, the chunks
-    are cut by the sample instead.  Every chunk is reduced to (value,
+    counted block by block by positions.count_windows.  A two-block
+    pattern of size k <= 3 (positions.code_countable) has a count that
+    is a local function of the inversion table, whose entries are
+    independent: its samples are tables drawn on the same PCG64DXSM
+    blocks (sampling.sample_codes), counted block by block by
+    positions.count_codes, and the plan lists no position set for them.
+    Every other pattern is counted by positions.count_rows on shuffled
+    permutations (sampling.sample_uniform_batch), since the sweep and
+    the scans index by value.  The samples are drawn in the fewest
+    chunks of at most _CHUNK samples and _CHUNK_CELLS permutation
+    entries.  Chunks are cut on the sampler's blocks of B rows
+    (sampling.word_block_rows(n) for words and codes,
+    sampling.shuffle_block_rows(n) for shuffles), so no chunk redraws a
+    row another chunk drew, and their sizes differ by at most B (by at
+    most one when B = 1): that keeps the largest chunk, and with it peak
+    memory, as small as that many chunks allow.  (Full chunks and a thin
+    remainder would count no slower.)  Should a block not fit the caps,
+    the chunks are cut by the sample instead.  Every chunk is reduced to (value,
     frequency) pairs, which are merged; no array of m counts is built.
     Output is identical for every thread count.  At most min(threads,
     chunks, CPUs in the affinity mask) worker processes run.
@@ -260,16 +285,16 @@ def run_experiment(
     if m < 100:
         raise DegenerateInput(f"need at least 100 samples, got {m}")
 
-    plan = plan_count(n, pattern)
+    sampler = _sampler(pattern)
+    plan = plan_count(n, pattern, codes=sampler == "codes")
     try:
         var_q = exact_variance_at(pattern, n, unsafe)
     except SizeLimitExceeded:
         var_q = None  # beyond the exact-moment limit
     if var_q is not None and var_q <= 0:
         raise DegenerateInput(f"exact variance is {var_q} at n={n}; nothing to standardize")
-    words = pattern.block_count == 1
     cap = max(1, min(_CHUNK, _CHUNK_CELLS // n))
-    grain = word_block_rows(n) if words else shuffle_block_rows(n)
+    grain = shuffle_block_rows(n) if sampler == "perms" else word_block_rows(n)
     if grain > cap:
         grain = 1
     units = -(-m // grain)  # the last may be short of a whole grain
@@ -283,7 +308,7 @@ def run_experiment(
         longer -= 1
     starts = [grain * (i * size + min(i, longer)) for i in range(chunks)] + [m]
     tasks = (
-        (pattern, n, seed, starts[i], starts[i + 1] - starts[i], plan, words)
+        (pattern, n, seed, starts[i], starts[i + 1] - starts[i], plan, sampler)
         for i in range(chunks)
     )
     # With the fork start method every worker is forked at the first

@@ -26,6 +26,10 @@ with k-1 comparisons; it serves every other shape, under the listing
 cap, and is the reference the sweep is tested against.  count_windows
 makes the sweep's window comparisons on rows that need not be
 permutations, such as the uint32 words of sampling.sample_words.
+count_codes counts a two-block pattern of size k <= 3 (code_countable)
+from inversion tables instead of permutations, one comparison and a row
+sum per table, with no listing; plan_count plans it for clt only, and
+count and count_occurrences keep the sweep or the chain kernel.
 """
 
 from __future__ import annotations
@@ -60,6 +64,8 @@ __all__ = [
     "is_path_shaped",
     "count_occurrences_sweep",
     "count_windows",
+    "code_countable",
+    "count_codes",
     "plan_count",
     "count_rows",
 ]
@@ -517,12 +523,65 @@ def count_occurrences_sweep(perms: np.ndarray, pattern: VincularPattern) -> np.n
     return counts
 
 
-def plan_count(n: int, pattern: VincularPattern) -> np.ndarray | None:
+def code_countable(pattern: VincularPattern) -> bool:
+    """Whether count_codes covers the pattern: the two-block patterns of
+    size k <= 3, that is 1|2, 2|1 and the twelve patterns of size 3 with
+    one dash."""
+    return pattern.block_count == 2 and pattern.size <= 3
+
+
+def count_codes(codes: np.ndarray, pattern: VincularPattern) -> np.ndarray:
+    """Counts of a code_countable pattern, as int64, in the permutations
+    whose inversion tables are the rows of codes, a (m, n) signed integer
+    array with 0 <= codes[:, p] <= p (sampling.sample_codes); a pattern
+    whose singleton comes last is counted in the reversed permutations.
+
+    With c the inversion table of sigma, c(p) = #{i < p : sigma(i) >
+    sigma(p)} (0-based p), 2|1 counts sum c(p) and 1|2 sum (p - c(p)).
+    A singleton-first pattern of size 3 counts, for each window t, t+1,
+    the singletons at i < t on the pattern's side of the window entries.
+    The window rises iff c(t+1) <= c(t), and the entries at i < t above
+    sigma(t) and sigma(t+1) number G0 = c(t) and G1 = c(t+1) - [c(t+1) >
+    c(t)].  With G_lo and G_hi those of the lower and the higher entry,
+    a singleton above both counts G_hi, one below both t - G_lo, and one
+    between them G_lo - G_hi.  A singleton-last pattern is counted as
+    its reverse (the singleton first), since reversal maps a uniform
+    permutation to a uniform one: its count in sigma reversed.
+    """
+    if not code_countable(pattern):
+        raise PatternError(f"{format_pattern(pattern)} is not counted from inversion tables")
+    n = codes.shape[1]
+    if pattern.size == 2:
+        inversions = codes.sum(axis=1, dtype=np.int64)
+        return inversions if pattern.order.values[0] == 2 else n * (n - 1) // 2 - inversions
+    blocks = pattern.block_values
+    if len(blocks[0]) == 2:
+        blocks = tuple(block[::-1] for block in reversed(blocks))
+    ((single,), (left, right)) = blocks
+    g0, g1 = codes[:, :-1], codes[:, 1:]
+    rises = g1 <= g0
+    if left < right:
+        lo, hi, window = g0, g1, rises
+    else:
+        lo, hi, window = g1 - 1, g0, ~rises
+    if single == 3:
+        term = hi
+    elif single == 1:
+        term = np.arange(n - 1, dtype=codes.dtype) - lo
+    else:
+        term = lo - hi
+    return (term * window).sum(axis=1, dtype=np.int64)
+
+
+def plan_count(n: int, pattern: VincularPattern, codes: bool = False) -> np.ndarray | None:
     """The counter for hosts of size n, chosen once: None for a
     path-shaped pattern, which count_rows sweeps (after the sweep's size
     check), and otherwise the position_matrix the chain kernel tests
-    (listing cap).  Raises SizeLimitExceeded before any counting."""
-    if is_path_shaped(pattern):
+    (listing cap).  With codes, a code_countable pattern is planned for
+    count_codes instead, which lists nothing: only the sweep's size
+    check applies, and the plan is None.  Raises SizeLimitExceeded
+    before any counting."""
+    if is_path_shaped(pattern) or codes and code_countable(pattern):
         _check_sweep_size(n, pattern)
         return None
     return position_matrix(n, pattern)

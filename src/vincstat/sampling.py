@@ -5,9 +5,9 @@ Randomness is keyed by the counter-based Philox generator (Salmon et al.,
 a small domain tag and a substream index, so every substream is
 determined entirely by (seed, tag, index): results never depend on how
 work is sharded across workers, and any single sample can be regenerated
-in isolation with substream().  Only the word sampler takes its bulk bits
-from another generator, a PCG64DXSM seeded from each substream's first
-Philox words.
+in isolation with substream().  Only the word and code samplers take
+their bulk bits from another generator, a PCG64DXSM seeded from each
+substream's first Philox words.
 
 The reduction sampler draws sample i from substream i.  The shuffle
 sampler draws its samples in blocks of shuffle_block_rows(n) rows, about
@@ -41,6 +41,14 @@ Philox lane (sample_words), so no two entries of a yielded row closer
 than the window are equal.  Comparing two uniforms needs only their
 leading bits until those tie (Knuth & Yao, 1976), so half the output of
 64-bit words gives their law.
+
+The code sampler serves two-block patterns of size k <= 3, whose counts
+read a permutation's inversion table (positions.count_codes).  It yields
+the tables themselves: sample i is row i mod B of block i // B of
+CODE_STREAM, B = word_block_rows(n), drawn by Generator.integers on the
+block's PCG64DXSM as the word sampler seeds it, entry p uniform on 0..p.
+The table determines the permutation, so the law is exact, and no
+permutation is built.
 """
 
 from __future__ import annotations
@@ -66,6 +74,8 @@ __all__ = [
     "NORMAL_STREAM",
     "PINNED_STREAM",
     "WORD_STREAM",
+    "sample_codes",
+    "CODE_STREAM",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -76,6 +86,7 @@ REDUCTION_STREAM = 1
 NORMAL_STREAM = 2
 PINNED_STREAM = 4
 WORD_STREAM = 5  # tag 3 was the retired bootstrap stream: never reuse it
+CODE_STREAM = 6
 
 _BLOCK_CELLS = 1 << 16  # float entries per reduction block
 _SHUFFLE_CELLS = 1 << 12  # entries per shuffle block
@@ -94,8 +105,9 @@ def shuffle_block_rows(n: int) -> int:
 
 
 def word_block_rows(n: int) -> int:
-    """Rows per word block at size n: sample_words draws sample i from
-    substream i // word_block_rows(n), so a block holds at most
+    """Rows per word or code block at size n: sample_words and
+    sample_codes draw sample i from substream i // word_block_rows(n) of
+    their streams, so a block holds at most
     _WORD_CELLS entries and _WORD_ROWS rows, and one row once
     n > _WORD_CELLS / 2."""
     return max(1, min(_WORD_ROWS, _WORD_CELLS // n))
@@ -337,7 +349,7 @@ def sample_words(
 
 
 def _bulk_seeder() -> Callable[[np.random.BitGenerator], np.random.BitGenerator]:
-    """One PCG64DXSM for a batch's word blocks, built once.
+    """One PCG64DXSM for a batch's word or code blocks, built once.
 
     The returned function draws four words w0..w3 from a Philox, sets the
     PCG64DXSM's state to w0 << 64 | w1 and its increment to
@@ -358,21 +370,70 @@ def _bulk_seeder() -> Callable[[np.random.BitGenerator], np.random.BitGenerator]
     return seeded
 
 
-def _word_blocks(n: int, seed: int, count: int, start: int, window: int) -> Iterator[np.ndarray]:
-    """sample_words' blocks, unchecked: per block, a re-key, one
-    PCG64DXSM seeding and one random_raw draw of half the block's
-    entries, then a re-key per widened row."""
-    rekey = _rekeyer(seed, WORD_STREAM)
+def _bulk_blocks(
+    n: int, rekey: Callable[..., np.random.Generator], count: int, start: int
+) -> Iterator[tuple[int, int, int, np.random.BitGenerator]]:
+    """The block walk of the word and code samplers, unchecked.
+
+    For each block of word_block_rows(n) rows that samples
+    start..start+count-1 touch: the block index b, the rows to draw (up
+    to the last one kept), the offset of the first row kept, and the
+    block's PCG64DXSM, seeded (_bulk_seeder) from the first four words of
+    the Philox that rekey(b) sets.  A block's rows are that generator's
+    output from the start, so a batch that starts mid-block draws and
+    drops that block's leading rows.
+    """
     seeded = _bulk_seeder()
     rows = word_block_rows(n)
     stop = start + count
     for block in range(start // rows, -(-stop // rows)):
         first = block * rows
-        kept = max(start, first)
-        bit_gen = rekey(block).bit_generator
-        drawn = _halves(seeded(bit_gen), (min(stop, first + rows) - first) * n)
-        words = drawn.reshape(-1, n)[kept - first :]
+        bulk = seeded(rekey(block).bit_generator)
+        yield block, min(stop, first + rows) - first, max(start, first) - first, bulk
+
+
+def _word_blocks(n: int, seed: int, count: int, start: int, window: int) -> Iterator[np.ndarray]:
+    """sample_words' blocks, unchecked: per block, one random_raw draw of
+    half the block's entries from its PCG64DXSM, then a re-key per
+    widened row."""
+    rekey = _rekeyer(seed, WORD_STREAM)
+    for block, drawn, kept, bulk in _bulk_blocks(n, rekey, count, start):
+        words = _halves(bulk, drawn * n).reshape(-1, n)[kept:]
         for r in _window_ties(words, window):
-            rekey(block, kept - first + r + 1)
-            words[r] = _widened(bit_gen, words[r], window)
+            lane = rekey(block, kept + r + 1).bit_generator
+            words[r] = _widened(lane, words[r], window)
         yield words
+
+
+def sample_codes(n: int, seed: int, count: int, start: int = 0) -> Iterator[np.ndarray]:
+    """Samples start..start+count-1 as inversion tables, yielded in order
+    as (rows, n) blocks, one per code block touched.
+
+    The inversion table of a permutation sigma of size n is c(p) = #{i <
+    p : sigma(i) > sigma(p)} for p = 0..n-1; it determines sigma, and
+    every table with 0 <= c(p) <= p is one, so for a uniform sigma the
+    entries are independent and c(p) is uniform on 0..p (Knuth, TAOCP
+    vol. 3, 5.1.1).  Sample s is row s mod B of block s // B, B =
+    word_block_rows(n), and a block's rows are successive
+    Generator.integers(0, arange(1, n + 1)) rows (Lemire's bounded draw,
+    with rejection, so the law is exact) on a PCG64DXSM seeded from the
+    first four words of Philox.random_raw on substream(seed, s // B,
+    CODE_STREAM), as sample_words seeds its blocks.  So every row depends
+    on its sample index alone; a batch that starts mid-block draws and
+    drops that block's leading rows.  Entries are int16 for n < 2^15,
+    else int32.  The arguments are checked on the call, before any block
+    is drawn.
+    """
+    if n < 1:
+        raise ZeroSize(f"cannot sample a permutation of size {n}")
+    _check_key(seed, CODE_STREAM, start, count)
+    return _code_blocks(n, seed, count, start)
+
+
+def _code_blocks(n: int, seed: int, count: int, start: int) -> Iterator[np.ndarray]:
+    """sample_codes' blocks, unchecked: one Generator.integers call per
+    block."""
+    dtype = np.int16 if n < 2**15 else np.int32
+    highs = np.arange(1, n + 1, dtype=dtype)
+    for _, drawn, kept, bulk in _bulk_blocks(n, _rekeyer(seed, CODE_STREAM), count, start):
+        yield np.random.Generator(bulk).integers(0, highs, size=(drawn, n), dtype=dtype)[kept:]

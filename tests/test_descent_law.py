@@ -5,9 +5,10 @@ size n follows the Eulerian distribution, and the number of inversions
 (and so of non-inversions) the Mahonian one, both known at every n; the
 brute-force oracle stops at n = 9.  The Dvoretzky-Kiefer-Wolfowitz
 inequality with Massart's constant (1990), P(sup |F_m - F| > eps) <=
-2 exp(-2 m eps^2), turns each law into a test of a sampler, its counter
-and the chunking together, at sizes the oracle cannot reach: the word
-sampler for descents, the shuffle sampler for inversions.
+2 exp(-2 m eps^2), turns each law into a test of a sampler and its
+counter, at sizes the oracle cannot reach: the word sampler for descents
+and the code sampler for inversions, each through run_experiment and its
+chunking, and the shuffle sampler for inversions through count_rows.
 """
 
 from math import log, sqrt
@@ -19,6 +20,8 @@ from vincstat import montecarlo
 from vincstat.montecarlo import run_experiment
 from vincstat.oracle import brute_force_distribution
 from vincstat.patterns import parse_pattern
+from vincstat.positions import count_rows, plan_count
+from vincstat.sampling import sample_uniform_batch
 
 
 def eulerian_law(n: int) -> np.ndarray:
@@ -63,17 +66,11 @@ def test_mahonian_law_matches_the_oracle(n):
         assert abs(prob - float(exact.get(j, 0))) <= 1e-12, (n, j)
 
 
-def _dkw_gap(monkeypatch, text, n, m, law, nulled):
-    """sup |F_m - F| between the merged counts of run_experiment (seed 1,
-    one thread, the sampler named by nulled set to None) and law, with
-    eps = sqrt(ln(2 / alpha) / (2 m)) at alpha = 1e-6: a correct sampler
-    exceeds eps once in a million seeds."""
-    merged = []
-    merge = montecarlo._merged
-    monkeypatch.setattr(montecarlo, "_merged", lambda pieces: merged.append(merge(pieces)) or merged[-1])
-    monkeypatch.setattr(montecarlo, nulled, None)
-    run_experiment(parse_pattern(text), n=n, m=m, seed=1, threads=1)
-    (values, freqs), = merged
+def _dkw_gap(values, freqs, m, law):
+    """sup |F_m - F| between the sample given as distinct values and
+    their frequencies and law, with eps = sqrt(ln(2 / alpha) / (2 m)) at
+    alpha = 1e-6: a correct sampler exceeds eps once in a million
+    seeds."""
     assert freqs.sum() == m and 0 <= values.min() and values.max() < law.size
     sampled = np.zeros(law.size)
     sampled[values] = freqs / m
@@ -81,19 +78,48 @@ def _dkw_gap(monkeypatch, text, n, m, law, nulled):
     return gap, sqrt(log(2 / 1e-6) / (2 * m))
 
 
+def _run_experiment_gap(monkeypatch, text, n, m, law, nulled):
+    """_dkw_gap of the merged counts of run_experiment (seed 1, one
+    thread, the samplers named in nulled set to None)."""
+    merged = []
+    merge = montecarlo._merged
+    monkeypatch.setattr(montecarlo, "_merged", lambda pieces: merged.append(merge(pieces)) or merged[-1])
+    for name in nulled:
+        monkeypatch.setattr(montecarlo, name, None)
+    run_experiment(parse_pattern(text), n=n, m=m, seed=1, threads=1)
+    (values, freqs), = merged
+    return _dkw_gap(values, freqs, m, law)
+
+
 @pytest.mark.parametrize("text", ["2,1", "1,2"])
 @pytest.mark.parametrize("n, m", [(100, 200_000), (1000, 100_000), (6400, 50_000)])
 def test_window_counts_stay_within_the_dkw_band_of_the_eulerian_law(monkeypatch, text, n, m):
     # eps is 0.0060 at m = 2*10^5, 0.0085 at m = 10^5 and 0.0120 at
     # m = 5*10^4; raw words only.
-    gap, eps = _dkw_gap(monkeypatch, text, n, m, eulerian_law(n), "sample_uniform_batch")
+    nulled = ("sample_uniform_batch", "sample_codes")
+    gap, eps = _run_experiment_gap(monkeypatch, text, n, m, eulerian_law(n), nulled)
     assert gap <= eps, (gap, eps)
 
 
 @pytest.mark.parametrize("text", ["2|1", "1|2"])
 @pytest.mark.parametrize("n, m", [(100, 100_000), (400, 50_000)])
-def test_inversion_counts_stay_within_the_dkw_band_of_the_mahonian_law(monkeypatch, text, n, m):
+def test_inversion_counts_stay_within_the_dkw_band_of_the_mahonian_law(text, n, m):
     # eps is 0.0085 at m = 10^5 and 0.0120 at m = 5*10^4; shuffled
-    # permutations only.
-    gap, eps = _dkw_gap(monkeypatch, text, n, m, mahonian_law(n), "sample_words")
+    # permutations, swept by count_rows in batches of 4096 samples.
+    p = parse_pattern(text)
+    plan = plan_count(n, p)
+    counts = np.concatenate([
+        count_rows(sample_uniform_batch(n, 1, min(4096, m - start), start), p, plan)
+        for start in range(0, m, 4096)
+    ])
+    gap, eps = _dkw_gap(*np.unique(counts, return_counts=True), m, mahonian_law(n))
+    assert gap <= eps, (gap, eps)
+
+
+@pytest.mark.parametrize("text", ["2|1", "1|2"])
+@pytest.mark.parametrize("n, m", [(100, 100_000), (400, 50_000)])
+def test_code_counts_stay_within_the_dkw_band_of_the_mahonian_law(monkeypatch, text, n, m):
+    # The same bands for run_experiment's inversion tables only.
+    nulled = ("sample_uniform_batch", "sample_words")
+    gap, eps = _run_experiment_gap(monkeypatch, text, n, m, mahonian_law(n), nulled)
     assert gap <= eps, (gap, eps)

@@ -24,7 +24,7 @@ from vincstat.montecarlo import (
     sample_cumulants,
 )
 from vincstat.moments import exact_variance_at, expectation
-from vincstat.patterns import parse_pattern
+from vincstat.patterns import iter_patterns, parse_pattern
 from vincstat.positions import count_rows, plan_count, position_count
 from vincstat.sampling import (
     NORMAL_STREAM,
@@ -434,10 +434,25 @@ def test_distance_monotone_over_three_hosts():
     assert d[1600] <= d[400] + slack
 
 
+def _decoded(codes):
+    """The permutations whose inversion tables are the rows of codes:
+    position p enters its row's value order above p - c(p) earlier
+    positions."""
+    perms = np.empty(codes.shape, dtype=np.int64)
+    for r, row in enumerate(codes.tolist()):
+        order = []
+        for p, c in enumerate(row):
+            order.insert(p - c, p)
+        perms[r, order] = np.arange(1, len(order) + 1)
+    return perms
+
+
 @pytest.mark.parametrize(
-    "text, n", [("3|1,2", 60), ("1|2", 45), ("2,1|3|4", 20), ("2,1", 60)]
+    "text, n", [("3|1,2", 60), ("1|2", 45), ("2,1|3|4", 20), ("2,1", 60), ("2,1|3,4", 40)]
 )
 def test_sweep_path_reports_equal_chain_path_reports(monkeypatch, text, n):
+    # 2,1|3|4 and 2,1|3,4 are swept on shuffled permutations; 3|1,2 and
+    # 1|2 are counted from inversion tables, and 2,1 on raw words.
     p = parse_pattern(text)
     chain_calls = []
     chain_kernel = positions.count_occurrences_batch
@@ -459,22 +474,43 @@ def test_sweep_path_reports_equal_chain_path_reports(monkeypatch, text, n):
             return count_rows(ranks, pattern, plan_count(n, pattern))
 
         monkeypatch.setattr(montecarlo, "count_windows", ranked)
+    elif montecarlo._sampler(p) == "codes":
+        # A code-counted pattern: the chain kernel gets the permutations
+        # the same blocks' codes encode, reversed for a singleton last.
+        def decoded(codes, pattern):
+            perms = _decoded(codes)
+            if len(pattern.block_values[0]) > 1:
+                perms = perms[:, ::-1]
+            return count_rows(perms, pattern, plan_count(n, pattern))
+
+        monkeypatch.setattr(montecarlo, "count_codes", decoded)
     assert run_experiment(p, n=n, m=1_500, seed=17, threads=1) == sweep
     assert chain_calls
 
 
 def test_sweep_path_is_thread_invariant():
-    p = parse_pattern("3|1,2")
+    p = parse_pattern("2,1|3,4")
     m = _CHUNK + 1  # two chunks, so two workers really split the work
     one = run_experiment(p, n=25, m=m, seed=5, threads=1)
     assert run_experiment(p, n=25, m=m, seed=5, threads=2) == one
 
 
-@pytest.mark.parametrize("text", ["3|1,2", "2,1"])
+@pytest.mark.parametrize("text", ["3|1,2", "1,3|2"])
+def test_code_path_is_thread_invariant(text):
+    # Two chunks of one 2621-row code block each at n = 25; 1,3|2, whose
+    # singleton comes last, counts the reversed permutations.
+    p = parse_pattern(text)
+    m = 2 * word_block_rows(25)
+    one = run_experiment(p, n=25, m=m, seed=5, threads=1)
+    assert run_experiment(p, n=25, m=m, seed=5, threads=2) == one
+
+
+@pytest.mark.parametrize("text", ["3|1,2", "2,1", "2,1|3,4"])
 def test_chunk_cell_bound_leaves_reports_alone(monkeypatch, text):
     # A cell budget of 500 at n = 50 cuts 300 samples into 30 chunks of 10.
-    # A shuffle block of 81 rows or a word block of 1310 does not fit, so
-    # the chunks start inside blocks, drawing and dropping leading rows.
+    # A shuffle block of 81 rows, or a word or code block of 1310, does
+    # not fit, so the chunks start inside blocks, drawing and dropping
+    # leading rows.
     p = parse_pattern(text)
     whole = run_experiment(p, n=50, m=300, seed=8, threads=1)
     monkeypatch.setattr(montecarlo, "_CHUNK_CELLS", 500)
@@ -492,14 +528,18 @@ def test_chunk_cell_bound_leaves_reports_alone(monkeypatch, text):
 
 @pytest.mark.parametrize(
     "text, expected",
-    [("3|1,2", [(0, 67), (67, 67), (134, 66)]), ("2,1", [(0, 70), (70, 70), (140, 60)])],
-    ids=["3|1,2", "2,1"],
+    [
+        ("2,1|3,4", [(0, 67), (67, 67), (134, 66)]),
+        ("2,1", [(0, 70), (70, 70), (140, 60)]),
+        ("3|1,2", [(0, 70), (70, 70), (140, 60)]),
+    ],
+    ids=["2,1|3,4", "2,1", "3|1,2"],
 )
 def test_chunks_are_equal_and_leave_reports_alone(monkeypatch, text, expected):
     # At most 81 rows a chunk (n = 6400's 2^19 // n) cut 200 samples into
     # equal chunks, not 81, 81 and 38: 67, 67 and 66 where a shuffle block
-    # is one row, and whole word blocks of 10 rows for a window pattern.
-    # The report equals the one from a single chunk.
+    # is one row, and whole word or code blocks of 10 rows for a window
+    # pattern or 3|1,2.  The report equals the one from a single chunk.
     p = parse_pattern(text)
     cells = montecarlo._CHUNK_CELLS
     monkeypatch.setattr(montecarlo, "_CHUNK_CELLS", 2**30)
@@ -548,7 +588,7 @@ def _chunks_start_on_sampler_blocks(monkeypatch, text, n, m, sampler, rows):
 def test_chunks_start_on_shuffle_blocks(monkeypatch, n, m):
     # Shuffle blocks hold 40, 2 and 682 rows.
     rows = shuffle_block_rows(n)
-    _chunks_start_on_sampler_blocks(monkeypatch, "3|1,2", n, m, "sample_uniform_batch", rows)
+    _chunks_start_on_sampler_blocks(monkeypatch, "2,1|3,4", n, m, "sample_uniform_batch", rows)
 
 
 @pytest.mark.parametrize("n, m", [(100, 3 * _CHUNK + 1), (6400, 1001), (6, 3 * _CHUNK + 1)])
@@ -557,6 +597,14 @@ def test_chunks_start_on_word_blocks(monkeypatch, n, m):
     rows = word_block_rows(n)
     assert rows == {100: 655, 6400: 10, 6: _CHUNK}[n]
     _chunks_start_on_sampler_blocks(monkeypatch, "2,1", n, m, "sample_words", rows)
+
+
+@pytest.mark.parametrize("text", ["3|1,2", "2|1", "2,3|1"])
+@pytest.mark.parametrize("n, m", [(100, 3 * _CHUNK + 1), (6400, 1001), (6, 3 * _CHUNK + 1)])
+def test_chunks_start_on_code_blocks(monkeypatch, text, n, m):
+    # Code blocks are word blocks: 655, 10 and, capped at one chunk, 4096
+    # rows.
+    _chunks_start_on_sampler_blocks(monkeypatch, text, n, m, "sample_codes", word_block_rows(n))
 
 
 def test_window_reports_under_forced_ties_ignore_threads_and_chunks(monkeypatch):
@@ -580,14 +628,14 @@ def test_window_reports_under_forced_ties_ignore_threads_and_chunks(monkeypatch)
 def test_sweep_path_size_guards(monkeypatch):
     # The n - k + 1 window starts are bounded by the listing cap ...
     monkeypatch.setenv("VINCSTAT_LISTING_CAP", "1000")
-    assert run_experiment(parse_pattern("3|1,2"), n=1_002, m=100, seed=0).n == 1_002
+    assert run_experiment(parse_pattern("2,1|3,4"), n=1_003, m=100, seed=0).n == 1_003
     assert run_experiment(parse_pattern("2,1"), n=1_001, m=100, seed=0).n == 1_001
     # ... and the int64 DP weights by 2^63 - 1; all refuse before sampling,
     # on shuffled permutations or raw words.
     monkeypatch.setattr(montecarlo, "sample_uniform_batch", None)
     monkeypatch.setattr(montecarlo, "sample_words", None)
     with pytest.raises(SizeLimitExceeded, match="listing cap"):
-        run_experiment(parse_pattern("3|1,2"), n=1_003, m=100, seed=0)
+        run_experiment(parse_pattern("2,1|3,4"), n=1_004, m=100, seed=0)
     with pytest.raises(SizeLimitExceeded, match="listing cap"):
         run_experiment(parse_pattern("2,1"), n=1_002, m=100, seed=0)
     monkeypatch.delenv("VINCSTAT_LISTING_CAP")
@@ -595,6 +643,51 @@ def test_sweep_path_size_guards(monkeypatch):
     assert position_count(100_000, wide) > 2**63 - 1
     with pytest.raises(SizeLimitExceeded, match="overflow"):
         run_experiment(wide, n=100_000, m=100, seed=0)
+
+
+@pytest.mark.parametrize("text", ["2|1,3", "3|1,2", "1,3|2", "1|2"])
+def test_code_path_size_guards(monkeypatch, text):
+    # A code-counted pattern lists no position set, so only its n - k + 1
+    # window starts are bounded by the listing cap, as a swept pattern's
+    # are, and it is refused before sampling.  For 2|1,3 and 1,3|2 the
+    # chain kernel of count would list C(n - 1, 2) sets.
+    monkeypatch.setenv("VINCSTAT_LISTING_CAP", "1000")
+    p = parse_pattern(text)
+    top = 999 + p.size
+    assert run_experiment(p, n=top, m=100, seed=0).n == top
+    if not positions.is_path_shaped(p):
+        with pytest.raises(SizeLimitExceeded, match="listing cap"):
+            plan_count(50, p)
+    monkeypatch.setattr(montecarlo, "sample_codes", None)
+    with pytest.raises(SizeLimitExceeded, match="listing cap"):
+        run_experiment(p, n=top + 1, m=100, seed=0)
+
+
+def test_the_plan_sends_exactly_the_two_block_patterns_of_size_3_to_codes(monkeypatch):
+    # Every pattern with k <= 3 runs; only 1|2, 2|1 and the twelve
+    # one-dash patterns of size 3 draw inversion tables, and no pattern of
+    # size 4 or 5 would.
+    coded = []
+    draw = montecarlo.sample_codes
+
+    def spy(n, seed, count, start):
+        coded.append(True)
+        return draw(n, seed, count, start)
+
+    monkeypatch.setattr(montecarlo, "sample_codes", spy)
+    ran = set()
+    for k in (2, 3):
+        for p in iter_patterns(k):
+            coded.clear()
+            run_experiment(p, n=6, m=100, seed=1, threads=1)
+            if coded:
+                ran.add(str(p))
+    assert ran == {
+        "1|2", "2|1",
+        "1|2,3", "1|3,2", "2|1,3", "2|3,1", "3|1,2", "3|2,1",
+        "1,2|3", "1,3|2", "2,1|3", "2,3|1", "3,1|2", "3,2|1",
+    }
+    assert not any(montecarlo._sampler(p) == "codes" for k in (4, 5) for p in iter_patterns(k))
 
 
 def test_exact_moment_limit_is_read_before_sampling(monkeypatch):

@@ -25,6 +25,8 @@ from vincstat.patterns import (
 )
 from vincstat.positions import (
     PositionSet,
+    code_countable,
+    count_codes,
     count_occurrences,
     count_occurrences_batch,
     count_occurrences_sweep,
@@ -317,6 +319,61 @@ def test_window_counts_on_raw_words_equal_counts_on_their_ranks(text):
             assert np.array_equal(got, count_rows(ranks, p, plan_count(n, p)))
     with pytest.raises(PatternError):
         count_windows(np.zeros((1, 5), dtype=np.uint64), parse_pattern("1|2"))
+
+
+# The two-block patterns of size k <= 3: 1|2, 2|1 and every pattern of
+# size 3 with one dash.
+_CODE_PATTERNS = (
+    "1|2", "2|1",
+    "1|2,3", "1|3,2", "2|1,3", "2|3,1", "3|1,2", "3|2,1",
+    "1,2|3", "1,3|2", "2,1|3", "2,3|1", "3,1|2", "3,2|1",
+)
+
+
+def _inversion_tables(rows):
+    """c(p) = #{i < p : row(i) > row(p)} for each row, as int16."""
+    codes = np.zeros(rows.shape, dtype=np.int16)
+    for p in range(rows.shape[1]):
+        codes[:, p] = (rows[:, :p] > rows[:, p : p + 1]).sum(axis=1)
+    return codes
+
+
+def _code_rows(rows, pattern):
+    """The inversion tables count_codes reads for a pattern's counts in
+    rows: those of the reversed rows when the singleton comes last."""
+    singleton_last = len(pattern.block_values[0]) > 1
+    return _inversion_tables(rows[:, ::-1] if singleton_last else rows)
+
+
+def test_code_countable_patterns_are_the_fourteen_two_block_patterns_of_size_3():
+    covered = {str(p) for k in range(1, 6) for p in iter_patterns(k) if code_countable(p)}
+    assert covered == set(_CODE_PATTERNS)
+
+
+@pytest.mark.parametrize("text", _CODE_PATTERNS)
+def test_counts_from_inversion_tables_equal_counts_on_every_permutation(text):
+    # The inversion table is a bijection from S_n, so this checks the
+    # counter on every host of size n = 2..7.
+    p = parse_pattern(text)
+    for n in range(2, 8):
+        rows = np.array(list(permutations(range(1, n + 1))), dtype=np.int16)
+        got = count_codes(_code_rows(rows, p), p)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, count_rows(rows, p, plan_count(n, p))), n
+
+
+@pytest.mark.parametrize("text", _CODE_PATTERNS)
+def test_counts_from_inversion_tables_equal_counts_on_large_hosts(text):
+    p = parse_pattern(text)
+    for n, seed in ((50, 1), (173, 2), (400, 3)):
+        rows = sample_uniform_batch(n, seed, 40)
+        assert np.array_equal(count_codes(_code_rows(rows, p), p), count_rows(rows, p, plan_count(n, p)))
+
+
+def test_count_codes_refuses_other_patterns():
+    for text in ("2,1", "1|2|3", "2,1|3,4", "1|3,2,4"):
+        with pytest.raises(PatternError):
+            count_codes(np.zeros((1, 5), dtype=np.int16), parse_pattern(text))
 
 
 def test_path_shape_predicate_matches_its_definition():

@@ -9,11 +9,13 @@ from vincstat import sampling
 from vincstat.errors import ZeroSize
 from vincstat.patterns import parse_pattern
 from vincstat.sampling import (
+    CODE_STREAM,
     REDUCTION_STREAM,
     SHUFFLE_STREAM,
     WORD_STREAM,
     sample_by_reduction,
     sample_by_reduction_batch,
+    sample_codes,
     sample_uniform,
     sample_uniform_batch,
     sample_words,
@@ -34,6 +36,12 @@ def _words(n, seed, count, start=0, window=2):
     return np.concatenate([np.empty((0, n), dtype=np.uint32), *blocks])
 
 
+def _codes(n, seed, count, start=0):
+    """The rows sample_codes yields, as one (count, n) array."""
+    dtype = np.int16 if n < 2**15 else np.int32
+    return np.concatenate([np.empty((0, n), dtype=dtype), *sample_codes(n, seed, count, start)])
+
+
 def test_size_one_and_errors():
     assert sample_uniform(1, seed=0).values == (1,)
     assert sample_by_reduction(1, seed=0).values == (1,)
@@ -45,6 +53,8 @@ def test_size_one_and_errors():
         sample_uniform_batch(0, seed=0, count=3)
     with pytest.raises(ZeroSize):
         sample_words(0, seed=0, count=3)
+    with pytest.raises(ZeroSize):
+        sample_codes(0, seed=0, count=3)
 
 
 def test_determinism_and_substream_separation():
@@ -199,7 +209,7 @@ def test_batch_rows_equal_fresh_substreams_at_the_key_edges(seed, start):
 
 
 def test_batch_index_range_check():
-    for batch_fn in (sample_uniform_batch, sample_by_reduction_batch, _words):
+    for batch_fn in (sample_uniform_batch, sample_by_reduction_batch, _words, _codes):
         with pytest.raises(ValueError):
             batch_fn(5, seed=0, count=4, start=2**56 - 3)
         with pytest.raises(ValueError):
@@ -211,12 +221,13 @@ def test_batch_index_range_check():
 
 def test_an_empty_batch_checks_its_start():
     # The start index is checked even when no row is drawn, and a bad
-    # start is the index named, whatever the count.  The word sampler
-    # checks on the call, before any block is drawn.
+    # start is the index named, whatever the count.  The word and code
+    # samplers check on the call, before any block is drawn.
     for start in (-1, 2**56):
-        with pytest.raises(ValueError, match=f"sample index {start} "):
-            sample_words(5, seed=0, count=0, start=start)
-    for batch_fn in (sample_uniform_batch, sample_by_reduction_batch, _words):
+        for lazy in (sample_words, sample_codes):
+            with pytest.raises(ValueError, match=f"sample index {start} "):
+                lazy(5, seed=0, count=0, start=start)
+    for batch_fn in (sample_uniform_batch, sample_by_reduction_batch, _words, _codes):
         for start in (-1, 2**56, 2**60):
             for count in (0, 3):
                 with pytest.raises(ValueError, match=f"sample index {start} "):
@@ -504,3 +515,90 @@ def test_any_window_of_a_word_batch_is_a_slice_of_one_long_batch(monkeypatch, bi
             assert np.array_equal(window, whole[start : start + count]), (start, count)
     for index in range(len(whole)):
         assert np.array_equal(_words(n, seed=9, count=1, start=index, window=k)[0], whole[index])
+
+
+def _code_bulk(seed, block):
+    """A fresh PCG64DXSM seeded from the first four words w0..w3 of a
+    fresh Philox on the (seed, block) code substream: state w0 << 64 |
+    w1, increment w2 << 64 | w3 | 1."""
+    key = np.array([seed, CODE_STREAM << 56 | block], dtype=np.uint64)
+    w0, w1, w2, w3 = (int(w) for w in np.random.Philox(key=key).random_raw(4))
+    bit_gen = np.random.PCG64DXSM()
+    bit_gen.state = {
+        "bit_generator": "PCG64DXSM",
+        "state": {"state": w0 << 64 | w1, "inc": w2 << 64 | w3 | 1},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return bit_gen
+
+
+def test_code_rows_follow_generator_integers_on_the_seeded_pcg():
+    # Sample s is row s mod B of Generator.integers(0, arange(1, n + 1)),
+    # in int16 below n = 2^15 and int32 from there, on a fresh PCG64DXSM
+    # seeded from the first four Philox words of the (seed, s // B) code
+    # substream, B = word_block_rows(n).  Batches start at a block, cross
+    # a block boundary mid-block and sit at the top sample indices; n = 6
+    # has the row cap, n = 2^15 the first int32 rows and n = 70 000 one
+    # row a block.
+    for n in (1, 2, 6, 25, 100, 6400, 2**15 - 1, 2**15, 70_000):
+        rows = word_block_rows(n)
+        dtype = np.int16 if n < 2**15 else np.int32
+        for seed, start, count in (
+            (0, 0, 3),
+            (314, 10, 3),
+            (314, 2 * rows - 2, 4),
+            (2**64 - 1, 2**56 - 3, 3),
+        ):
+            expected = []
+            for s in range(start, start + count):
+                block, r = divmod(s, rows)
+                gen = np.random.Generator(_code_bulk(seed, block))
+                expected.append(gen.integers(0, np.arange(1, n + 1), size=(r + 1, n), dtype=dtype)[r])
+            got = _codes(n, seed, count, start)
+            assert got.dtype == dtype
+            assert np.array_equal(got, np.array(expected)), (n, seed, start)
+
+
+def test_literal_code_rows():
+    # NEP 19 does not freeze Generator.integers as it does raw streams,
+    # so two literal cases pin the bounded draw itself.
+    assert _codes(8, seed=2024, count=3, start=5).tolist() == [
+        [0, 1, 0, 2, 0, 0, 6, 1],
+        [0, 0, 0, 2, 4, 2, 4, 2],
+        [0, 1, 2, 1, 2, 5, 2, 3],
+    ]
+    assert _codes(5, seed=2**64 - 1, count=2, start=2**56 - 2).tolist() == [
+        [0, 0, 0, 1, 0],
+        [0, 0, 2, 0, 1],
+    ]
+
+
+def test_any_window_of_a_code_batch_is_a_slice_of_one_long_batch(monkeypatch):
+    # Blocks of five rows.  Windows that start and end on block boundaries
+    # and inside blocks, empty ones included, equal the slice of one long
+    # batch, and so do the lone samples.
+    n, rows = 7, 5
+    monkeypatch.setattr(sampling, "_WORD_CELLS", rows * n)
+    assert word_block_rows(n) == rows
+    whole = _codes(n, seed=9, count=3 * rows + 2)
+    for start in sorted({0, 1, rows - 1, rows, rows + 1, 2 * rows - 1, 2 * rows + 1}):
+        for count in sorted({0, 1, rows - 1, rows, rows + 1}):
+            window = _codes(n, seed=9, count=count, start=start)
+            assert np.array_equal(window, whole[start : start + count]), (start, count)
+    for index in range(len(whole)):
+        assert np.array_equal(_codes(n, seed=9, count=1, start=index)[0], whole[index])
+
+
+def test_code_rows_are_uniform_inversion_tables():
+    # Every entry c(p) lies in 0..p, so each row is the table of one
+    # permutation; int32 once n reaches 2^15.
+    for n in (1, 2, 7, 300, 2**15):
+        codes = _codes(n, seed=n, count=3, start=5)
+        assert (codes >= 0).all() and (codes <= np.arange(n)).all()
+    # Each entry is uniform on 0..p and independent of the others: at
+    # n = 4 the 24 tables, one per permutation, are equally likely.
+    tables = [tuple(row) for row in _codes(4, seed=5, count=24_000).tolist()]
+    freq = Counter(tables)
+    assert len(freq) == 24
+    assert chisquare(list(freq.values())).pvalue > 1e-4
