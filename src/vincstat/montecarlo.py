@@ -21,6 +21,7 @@ distinct counts, not with the number of samples.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from math import erfc, sqrt
 
@@ -30,7 +31,9 @@ from . import config
 from .errors import DegenerateInput, EmptySample, PatternTooSmall, SizeLimitExceeded, TooFewSamples
 from .moments import exact_variance_at, expectation
 from .patterns import VincularPattern, format_pattern
-from .positions import code_countable, count_codes, count_rows, count_windows, plan_count
+from .positions import (
+    check_sweep_size, code_countable, count_codes, count_rows, count_windows, plan_count
+)
 from .sampling import (
     sample_codes,
     sample_uniform_batch,
@@ -182,24 +185,45 @@ class MonteCarloReport:
     used_exact_moments: bool
 
 
-def _sampler(pattern: VincularPattern) -> str:
-    """The sampler run_experiment draws the pattern's samples with:
-    "words" for a window pattern, "codes" for a code_countable one, and
-    "perms" (shuffled permutations) for every other pattern."""
-    if pattern.block_count == 1:
-        return "words"
-    return "codes" if code_countable(pattern) else "perms"
+# run_experiment's sampling plan (_plan): the rows drawn, "words", "codes"
+# or "perms"; the sampler's rows per block; plan_count's plan for "perms".
+_Plan = namedtuple("_Plan", ["rows", "block_rows", "positions"])
+
+
+def _plan(n: int, pattern: VincularPattern) -> _Plan:
+    """How run_experiment draws and counts the pattern's samples at size
+    n, chosen once per run; the counter's limits raise SizeLimitExceeded
+    here, before any sampling.
+
+    A window pattern (j = 1) reads only the order inside windows of k
+    neighbours, which i.i.d. uniform words give as a shuffle would: its
+    rows are "words" (sampling.sample_words), counted by
+    positions.count_windows.  A two-block pattern of size k <= 3
+    (positions.code_countable) counts a local function of the inversion
+    table, whose entries are independent: its rows are "codes"
+    (sampling.sample_codes), counted by positions.count_codes.  Neither
+    lists a position set, so positions.check_sweep_size alone bounds
+    them; both samplers draw blocks of sampling.word_block_rows(n) rows.
+    Other patterns' rows are "perms", shuffles in blocks of
+    sampling.shuffle_block_rows(n) rows (sampling.sample_uniform_batch),
+    since the sweep and the scans index by value, counted by
+    positions.count_rows on plan_count's plan.
+    """
+    if pattern.block_count == 1 or code_countable(pattern):
+        check_sweep_size(n, pattern)
+        return _Plan("words" if pattern.block_count == 1 else "codes", word_block_rows(n), None)
+    return _Plan("perms", shuffle_block_rows(n), plan_count(n, pattern))
 
 
 def _count_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     """The distinct occurrence counts of one chunk of samples and their
     frequencies.  Word and code blocks are counted as they are yielded,
     so no array of the chunk's samples is built."""
-    pattern, n, seed, start, count, plan, sampler = args
-    if sampler == "perms":
-        counts = count_rows(sample_uniform_batch(n, seed, count, start), pattern, plan)
+    pattern, n, seed, start, count, plan = args
+    if plan.rows == "perms":
+        counts = count_rows(sample_uniform_batch(n, seed, count, start), pattern, plan.positions)
     else:
-        if sampler == "words":
+        if plan.rows == "words":
             blocks, count_block = sample_words(n, seed, count, start, pattern.size), count_windows
         else:
             blocks, count_block = sample_codes(n, seed, count, start), count_codes
@@ -246,34 +270,19 @@ def run_experiment(
     """Draw m permutations of size n, count pattern occurrences,
     standardize, and summarize.
 
-    Before any sampling, positions.plan_count plans the counter once for
-    (n, pattern), refusing a host beyond its limits, and the exact layer
-    is asked for the variance.  Where exact_variance_at refuses the
-    pattern as beyond the exact-moment limit (raised to at least k=6 by
-    unsafe), sample moments standardize instead, as the report records.
-    The plan also chooses the sampler.  A window pattern (j = 1) reads
-    only the order inside windows of k neighbours, which the relative
-    order of i.i.d. uniform words gives as a shuffle would: its samples
-    are rows of 32-bit halves of the words of a PCG64DXSM that Philox
-    seeds per block, widened where a window ties (sampling.sample_words),
-    counted block by block by positions.count_windows.  A two-block
-    pattern of size k <= 3 (positions.code_countable) has a count that
-    is a local function of the inversion table, whose entries are
-    independent: its samples are tables drawn on the same PCG64DXSM
-    blocks (sampling.sample_codes), counted block by block by
-    positions.count_codes, and the plan lists no position set for them.
-    Every other pattern is counted by positions.count_rows on shuffled
-    permutations (sampling.sample_uniform_batch), since the sweep and
-    the scans index by value.  The samples are drawn in the fewest
-    chunks of at most _CHUNK samples and _CHUNK_CELLS permutation
-    entries.  Chunks are cut on the sampler's blocks of B rows
-    (sampling.word_block_rows(n) for words and codes,
-    sampling.shuffle_block_rows(n) for shuffles), so no chunk redraws a
-    row another chunk drew, and their sizes differ by at most B (by at
-    most one when B = 1): that keeps the largest chunk, and with it peak
-    memory, as small as that many chunks allow.  (Full chunks and a thin
-    remainder would count no slower.)  Should a block not fit the caps,
-    the chunks are cut by the sample instead.  Every chunk is reduced to (value,
+    Before any sampling, _plan chooses the sampler and the counter once
+    for (n, pattern), refusing a host beyond the counter's limits, and
+    the exact layer is asked for the variance.  Where exact_variance_at
+    refuses the pattern as beyond the exact-moment limit (raised to at
+    least k=6 by unsafe), sample moments standardize instead, as the
+    report records.  The samples are drawn in the fewest chunks of at
+    most _CHUNK samples and _CHUNK_CELLS permutation entries, or of one
+    sampler block where a block exceeds those caps.  Chunks are cut on
+    the sampler's blocks of B rows, so no chunk redraws a row another
+    chunk drew, and their sizes differ by at most B (by at most one when
+    B = 1): that keeps the largest chunk, and with it peak memory, as
+    small as that many chunks allow.  (Full chunks and a thin remainder
+    would count no slower.)  Every chunk is reduced to (value,
     frequency) pairs, which are merged; no array of m counts is built.
     Output is identical for every thread count.  At most min(threads,
     chunks, CPUs in the affinity mask) worker processes run.
@@ -285,20 +294,16 @@ def run_experiment(
     if m < 100:
         raise DegenerateInput(f"need at least 100 samples, got {m}")
 
-    sampler = _sampler(pattern)
-    plan = plan_count(n, pattern, codes=sampler == "codes")
+    plan = _plan(n, pattern)
     try:
         var_q = exact_variance_at(pattern, n, unsafe)
     except SizeLimitExceeded:
         var_q = None  # beyond the exact-moment limit
     if var_q is not None and var_q <= 0:
         raise DegenerateInput(f"exact variance is {var_q} at n={n}; nothing to standardize")
-    cap = max(1, min(_CHUNK, _CHUNK_CELLS // n))
-    grain = shuffle_block_rows(n) if sampler == "perms" else word_block_rows(n)
-    if grain > cap:
-        grain = 1
+    grain = plan.block_rows
     units = -(-m // grain)  # the last may be short of a whole grain
-    chunks = -(-units // (cap // grain))
+    chunks = -(-units // max(1, min(_CHUNK, _CHUNK_CELLS // n) // grain))
     # Equal chunks, the first units % chunks of them one grain longer, so
     # the largest chunk is as small as this many chunks allow.  When the
     # last grain is short, the last chunk takes one of those extra grains
@@ -307,10 +312,7 @@ def run_experiment(
     if longer and units * grain > m:
         longer -= 1
     starts = [grain * (i * size + min(i, longer)) for i in range(chunks)] + [m]
-    tasks = (
-        (pattern, n, seed, starts[i], starts[i + 1] - starts[i], plan, sampler)
-        for i in range(chunks)
-    )
+    tasks = ((pattern, n, seed, a, b - a, plan) for a, b in zip(starts, starts[1:]))
     # With the fork start method every worker is forked at the first
     # submit, whether or not a task is left for it.
     workers = min(threads or 1, chunks, config.available_cpus())

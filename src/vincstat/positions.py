@@ -10,26 +10,26 @@ shift is a bijection, which gives the count binom(n-k+j, j) and a handy
 odometer for enumeration (choose the subset, shift back).
 
 Two counters share one definition of an occurrence, and this module
-alone chooses between them: plan_count picks one from (n, pattern) and
-count_rows applies it.  The sweep, count_occurrences_sweep, serves
-path-shaped patterns (is_path_shaped: blocks whose values are intervals,
-monotone in position; every window pattern is one), whose conditions
-chain block to block: j-1 dominance steps over positions count them with
-no position matrix; a pattern whose blocks fall is swept as its reverse
-on the mirrored rows.  A window pattern (j = 1) takes no step: its count
-is a row sum of k-1 comparisons, made on the host rows in the integer
-dtype they come in.  A two-block pattern over many host rows takes one
+alone chooses between them for permutations: plan_count picks one from
+(n, pattern) and count_rows applies it.  The sweep,
+count_occurrences_sweep, serves path-shaped patterns (is_path_shaped:
+blocks whose values are intervals, monotone in position; every window
+pattern is one), whose conditions chain block to block: j-1 dominance
+steps over positions count them with no position matrix; a pattern whose
+blocks fall is swept as its reverse on the mirrored rows.  A window
+pattern (j = 1) takes no step: count_windows counts it, a row sum of k-1
+comparisons made on the rows in the dtype they come in, so the rows need
+not be permutations (the uint32 words of sampling.sample_words are
+counted as they are).  A two-block pattern over many host rows takes one
 bit-parallel scan of about n^2/64 word operations per row; otherwise
-each step costs about n^1.5 cells per row.  The chain
-kernel, count_occurrences_batch, tests every set of a position_matrix
-with k-1 comparisons; it serves every other shape, under the listing
-cap, and is the reference the sweep is tested against.  count_windows
-makes the sweep's window comparisons on rows that need not be
-permutations, such as the uint32 words of sampling.sample_words.
-count_codes counts a two-block pattern of size k <= 3 (code_countable)
-from inversion tables instead of permutations, one comparison and a row
-sum per table, with no listing; plan_count plans it for clt only, and
-count and count_occurrences keep the sweep or the chain kernel.
+each step costs about n^1.5 cells per row.  The chain kernel,
+count_occurrences_batch, tests every set of a position_matrix with k-1
+comparisons; it serves every other shape, under the listing cap, and is
+the reference the sweep is tested against.  count_codes counts a
+two-block pattern of size k <= 3 (code_countable) from inversion tables
+instead of permutations, one comparison and a row sum per table, with no
+listing.  A counter that lists nothing is bounded by check_sweep_size
+alone.
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ __all__ = [
     "is_path_shaped",
     "count_occurrences_sweep",
     "count_windows",
+    "check_sweep_size",
     "code_countable",
     "count_codes",
     "plan_count",
@@ -304,13 +305,14 @@ def _rising_blocks(pattern: VincularPattern) -> tuple[tuple[tuple[int, ...], ...
     return blocks, False
 
 
-def _check_sweep_size(n: int, pattern: VincularPattern) -> None:
-    """Refuse a sweep that the limits do not allow: more window starts
-    n-k+1 than the listing cap (for a window pattern, exactly its
-    position sets), or DP weights that could overflow int64.  After
-    block i of _rising_blocks a weight counts placements of the first i
-    blocks, at most binom(n - (b_1 + ... + b_i) + i, i); the last of
-    these bounds is position_count."""
+def check_sweep_size(n: int, pattern: VincularPattern) -> None:
+    """Refuse a count that lists no position set (the sweep,
+    count_windows or count_codes) where the limits do not allow it: more
+    window starts n-k+1 than the listing cap (for a window pattern,
+    exactly its position sets), or DP weights that could overflow int64.
+    After block i of _rising_blocks a weight counts placements of the
+    first i blocks, at most binom(n - (b_1 + ... + b_i) + i, i); the last
+    of these bounds is position_count."""
     cap = config.listing_cap()
     if n - pattern.size + 1 > cap:
         raise SizeLimitExceeded(
@@ -462,14 +464,13 @@ def count_occurrences_sweep(perms: np.ndarray, pattern: VincularPattern) -> np.n
         W_{i+1}(t) = M_{i+1}(t) * sum over s <= t - b_i of
                      W_i(s) * [sigma(s + argmax_i) < sigma(t + argmin_{i+1})],
     and the count is the sum of W_j; a window pattern (j = 1) takes no
-    step.  The blocks rise: a pattern whose blocks fall runs as its
-    reverse on perms[:, ::-1] (_rising_blocks), a view that each row
-    sub-chunk copies once.  The window tests and the steps read the rows
-    in their integer dtype.  Each
-    row's W_j is summed into the int64 counts, a window mask (j = 1) in
-    int32 first.  Each step is a weighted dominance count (_dominance),
-    about n^1.5 cells per row, over row sub-chunks of at most
-    _SWEEP_CELLS histogram cells.
+    step, and its counts are count_windows', as int64.  The blocks rise:
+    a pattern whose blocks fall runs as its reverse on perms[:, ::-1]
+    (_rising_blocks), a view that each row sub-chunk copies once.  The
+    window tests and the steps read the rows in their integer dtype.
+    Each row's W_j is summed into the int64 counts.  Each step is a
+    weighted dominance count (_dominance), about n^1.5 cells per row,
+    over row sub-chunks of at most _SWEEP_CELLS histogram cells.
 
     A two-block pattern (j = 2) needs only the row sums of W_2, whose
     weights W_1 = M_1 are 0 or 1.  On a thick batch, rows^3 * n at least
@@ -487,9 +488,11 @@ def count_occurrences_sweep(perms: np.ndarray, pattern: VincularPattern) -> np.n
         raise PatternError(f"{format_pattern(pattern)} is not path-shaped")
     perms = np.asarray(perms)
     m, n = perms.shape
-    _check_sweep_size(n, pattern)
+    check_sweep_size(n, pattern)
     if perms.size and (perms.dtype.kind not in "iu" or perms.min() < 1 or perms.max() > n):
         raise NotAPermutation(f"host rows must hold integers in 1..{n}")
+    if pattern.block_count == 1:
+        return count_windows(perms, pattern).astype(np.int64)
     counts = np.zeros(m, dtype=np.int64)
     if n < pattern.size:
         return counts
@@ -514,12 +517,7 @@ def count_occurrences_sweep(perms: np.ndarray, pattern: VincularPattern) -> np.n
             # weight enters as int64.
             source = weight[:, : x.shape[1]].astype(np.int64, copy=False)
             weight = match * _dominance(x, source, y, len(prev), n)
-        if len(chains) == 1:
-            # A bool sum would add in int64; a window's matches in a row
-            # are at most n - k + 1, which int32 holds, at half the cost.
-            counts[lo : lo + step] = weight.sum(axis=1, dtype=np.int32)
-        else:
-            weight.sum(axis=1, out=counts[lo : lo + step])
+        weight.sum(axis=1, out=counts[lo : lo + step])
     return counts
 
 
@@ -573,16 +571,14 @@ def count_codes(codes: np.ndarray, pattern: VincularPattern) -> np.ndarray:
     return (term * window).sum(axis=1, dtype=np.int64)
 
 
-def plan_count(n: int, pattern: VincularPattern, codes: bool = False) -> np.ndarray | None:
-    """The counter for hosts of size n, chosen once: None for a
-    path-shaped pattern, which count_rows sweeps (after the sweep's size
-    check), and otherwise the position_matrix the chain kernel tests
-    (listing cap).  With codes, a code_countable pattern is planned for
-    count_codes instead, which lists nothing: only the sweep's size
-    check applies, and the plan is None.  Raises SizeLimitExceeded
-    before any counting."""
-    if is_path_shaped(pattern) or codes and code_countable(pattern):
-        _check_sweep_size(n, pattern)
+def plan_count(n: int, pattern: VincularPattern) -> np.ndarray | None:
+    """The counter for permutations of size n, chosen once: None for a
+    path-shaped pattern, which count_rows sweeps (after
+    check_sweep_size), and otherwise the position_matrix the chain
+    kernel tests (listing cap).  Raises SizeLimitExceeded before any
+    counting."""
+    if is_path_shaped(pattern):
+        check_sweep_size(n, pattern)
         return None
     return position_matrix(n, pattern)
 

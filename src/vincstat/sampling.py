@@ -93,8 +93,8 @@ _SHUFFLE_CELLS = 1 << 12  # entries per shuffle block
 _WORD_CELLS = 1 << 16  # entries per word block: fewer, larger random_raw calls
                        # cost less per entry (2^12-entry blocks of 64-bit
                        # entries were 27% slower)
-_WORD_ROWS = 1 << 12  # and at most this many rows, montecarlo's chunk
-                      # size, so that a block fits a chunk at small n
+_WORD_ROWS = 1 << 12  # and at most this many rows: a stream constant, since
+                      # it fixes the seeded words and codes for n < 16
 
 
 def shuffle_block_rows(n: int) -> int:

@@ -1,4 +1,5 @@
 import concurrent.futures
+import itertools
 import os
 import tracemalloc
 
@@ -25,7 +26,7 @@ from vincstat.montecarlo import (
 )
 from vincstat.moments import exact_variance_at, expectation
 from vincstat.patterns import iter_patterns, parse_pattern
-from vincstat.positions import count_rows, plan_count, position_count
+from vincstat.positions import code_countable, count_rows, plan_count, position_count
 from vincstat.sampling import (
     NORMAL_STREAM,
     sample_uniform_batch,
@@ -474,7 +475,7 @@ def test_sweep_path_reports_equal_chain_path_reports(monkeypatch, text, n):
             return count_rows(ranks, pattern, plan_count(n, pattern))
 
         monkeypatch.setattr(montecarlo, "count_windows", ranked)
-    elif montecarlo._sampler(p) == "codes":
+    elif montecarlo._plan(n, p).rows == "codes":
         # A code-counted pattern: the chain kernel gets the permutations
         # the same blocks' codes encode, reversed for a singleton last.
         def decoded(codes, pattern):
@@ -495,6 +496,17 @@ def test_sweep_path_is_thread_invariant():
     assert run_experiment(p, n=25, m=m, seed=5, threads=2) == one
 
 
+def test_chain_kernel_path_is_thread_invariant(monkeypatch):
+    # 1|3|2 is not path-shaped, so its plan holds a position matrix, which
+    # is pickled to the workers with each chunk.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    p = parse_pattern("1|3|2")
+    assert montecarlo._plan(25, p).positions.shape == (position_count(25, p), 3)
+    m = _CHUNK + 1
+    one = run_experiment(p, n=25, m=m, seed=5, threads=1)
+    assert run_experiment(p, n=25, m=m, seed=5, threads=2) == one
+
+
 @pytest.mark.parametrize("text", ["3|1,2", "1,3|2"])
 def test_code_path_is_thread_invariant(text):
     # Two chunks of one 2621-row code block each at n = 25; 1,3|2, whose
@@ -507,23 +519,24 @@ def test_code_path_is_thread_invariant(text):
 
 @pytest.mark.parametrize("text", ["3|1,2", "2,1", "2,1|3,4"])
 def test_chunk_cell_bound_leaves_reports_alone(monkeypatch, text):
-    # A cell budget of 500 at n = 50 cuts 300 samples into 30 chunks of 10.
-    # A shuffle block of 81 rows, or a word or code block of 1310, does
-    # not fit, so the chunks start inside blocks, drawing and dropping
-    # leading rows.
+    # A cell budget of one row at n = 400 is below a shuffle block of 10
+    # rows and a word or code block of 163, so every chunk is one block:
+    # 500 samples run as 50 chunks of 10, or as 163, 163, 163 and 11.
     p = parse_pattern(text)
-    whole = run_experiment(p, n=50, m=300, seed=8, threads=1)
-    monkeypatch.setattr(montecarlo, "_CHUNK_CELLS", 500)
+    n, m = 400, 500
+    rows = shuffle_block_rows(n) if text == "2,1|3,4" else word_block_rows(n)
+    whole = run_experiment(p, n=n, m=m, seed=8, threads=1)
+    monkeypatch.setattr(montecarlo, "_CHUNK_CELLS", n)
     seen = []
     count_chunk = montecarlo._count_chunk
 
     def recording(args):
-        seen.append(args[4])
+        seen.append(args[3:5])
         return count_chunk(args)
 
     monkeypatch.setattr(montecarlo, "_count_chunk", recording)
-    assert run_experiment(p, n=50, m=300, seed=8, threads=1) == whole
-    assert seen == [10] * 30
+    assert run_experiment(p, n=n, m=m, seed=8, threads=1) == whole
+    assert seen == [(start, min(rows, m - start)) for start in range(0, m, rows)]
 
 
 @pytest.mark.parametrize(
@@ -609,10 +622,10 @@ def test_chunks_start_on_code_blocks(monkeypatch, text, n, m):
 
 def test_window_reports_under_forced_ties_ignore_threads_and_chunks(monkeypatch):
     # Three-bit words tie in most rows of 3,2,1 at n = 8, so the redraws
-    # matter; two workers, and chunks of 7 rows that start inside the
-    # 4096-row word blocks, must give the single-worker report.  The
-    # workers are forked (the default on Linux before Python 3.14), so
-    # they draw with the patched words too.
+    # matter; two workers, one for each chunk (a 4096-row word block and
+    # one more row), must give the single-worker report.  The workers are
+    # forked (the default on Linux before Python 3.14), so they draw with
+    # the patched words too.
     monkeypatch.setattr(
         sampling, "_raw_words", lambda bit_gen, count: bit_gen.random_raw(count) & np.uint64(7)
     )
@@ -621,8 +634,6 @@ def test_window_reports_under_forced_ties_ignore_threads_and_chunks(monkeypatch)
     m = _CHUNK + 1
     one = run_experiment(p, n=8, m=m, seed=12, threads=1)
     assert run_experiment(p, n=8, m=m, seed=12, threads=2) == one
-    monkeypatch.setattr(montecarlo, "_CHUNK_CELLS", 7 * 8)
-    assert run_experiment(p, n=8, m=m, seed=12, threads=1) == one
 
 
 def test_sweep_path_size_guards(monkeypatch):
@@ -663,6 +674,27 @@ def test_code_path_size_guards(monkeypatch, text):
         run_experiment(p, n=top + 1, m=100, seed=0)
 
 
+def test_every_pattern_is_refused_past_its_limit_before_sampling(monkeypatch):
+    # With no sampler left, every pattern with 2 <= k <= 4 is refused just
+    # past its limit and samples just below it: cap + 1 window starts where
+    # nothing is listed (words, codes, the sweep), cap + 1 position sets
+    # where the chain kernel runs.
+    cap = 12
+    monkeypatch.setenv("VINCSTAT_LISTING_CAP", str(cap))
+    for sampler in ("sample_uniform_batch", "sample_words", "sample_codes"):
+        monkeypatch.setattr(montecarlo, sampler, None)
+    for k in (2, 3, 4):
+        for p in iter_patterns(k):
+            if code_countable(p) or positions.is_path_shaped(p):
+                n = cap + k
+            else:
+                n = next(n for n in itertools.count(k) if position_count(n, p) > cap)
+            with pytest.raises(SizeLimitExceeded, match="listing cap"):
+                run_experiment(p, n=n, m=100, seed=0)
+            with pytest.raises(TypeError, match="not callable"):
+                run_experiment(p, n=n - 1, m=100, seed=0)
+
+
 def test_the_plan_sends_exactly_the_two_block_patterns_of_size_3_to_codes(monkeypatch):
     # Every pattern with k <= 3 runs; only 1|2, 2|1 and the twelve
     # one-dash patterns of size 3 draw inversion tables, and no pattern of
@@ -687,7 +719,7 @@ def test_the_plan_sends_exactly_the_two_block_patterns_of_size_3_to_codes(monkey
         "1|2,3", "1|3,2", "2|1,3", "2|3,1", "3|1,2", "3|2,1",
         "1,2|3", "1,3|2", "2,1|3", "2,3|1", "3,1|2", "3,2|1",
     }
-    assert not any(montecarlo._sampler(p) == "codes" for k in (4, 5) for p in iter_patterns(k))
+    assert not any(montecarlo._plan(6, p).rows == "codes" for k in (4, 5) for p in iter_patterns(k))
 
 
 def test_exact_moment_limit_is_read_before_sampling(monkeypatch):
