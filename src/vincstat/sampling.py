@@ -45,10 +45,14 @@ leading bits until those tie (Knuth & Yao, 1976), so half the output of
 The code sampler serves two-block patterns of size k <= 3, whose counts
 read a permutation's inversion table (positions.count_codes).  It yields
 the tables themselves: sample i is row i mod B of block i // B of
-CODE_STREAM, B = word_block_rows(n), drawn by Generator.integers on the
-block's PCG64DXSM as the word sampler seeds it, entry p uniform on 0..p.
-The table determines the permutation, so the law is exact, and no
-permutation is built.
+CODE_STREAM, B = word_block_rows(n), cut from the 32-bit halves of the
+block's PCG64DXSM as the word sampler seeds it.  Entry p is uniform on
+0..p by Lemire's bounded draw (2019): the high half of the half times
+p + 1, unless the product's low half falls below 2^32 mod (p + 1), in
+which case the entry is redrawn from the row's own Philox lane.  The
+table determines the permutation, so the law is exact, and no
+permutation is built.  Only raw PCG64DXSM and Philox words, which NEP 19
+keeps stable, enter a table.
 """
 
 from __future__ import annotations
@@ -95,6 +99,8 @@ _WORD_CELLS = 1 << 16  # entries per word block: fewer, larger random_raw calls
                        # entries were 27% slower)
 _WORD_ROWS = 1 << 12  # and at most this many rows: a stream constant, since
                       # it fixes the seeded words and codes for n < 16
+_CODE_SLAB = 1 << 13  # entries per multiply-high slab of a code block: a
+                      # whole-block uint64 product raised clt's peak RSS 5%
 
 
 def shuffle_block_rows(n: int) -> int:
@@ -269,9 +275,10 @@ def sample_by_reduction_batch(n: int, seed: int, count: int, start: int = 0) -> 
 
 
 def _raw_words(bit_gen: np.random.BitGenerator, count: int) -> np.ndarray:
-    # The word sampler's draw of entries, from a block's PCG64DXSM or a
-    # row's Philox lane, kept apart so that tests can make ties frequent
-    # by drawing few-bit words.  Seeding the PCG64DXSM does not call it.
+    # The word and code samplers' draw of entries, from a block's
+    # PCG64DXSM or a row's Philox lane, kept apart so that tests can make
+    # ties and rejections frequent by drawing few-bit words.  Seeding the
+    # PCG64DXSM does not call it.
     return bit_gen.random_raw(count)
 
 
@@ -414,15 +421,20 @@ def sample_codes(n: int, seed: int, count: int, start: int = 0) -> Iterator[np.n
     every table with 0 <= c(p) <= p is one, so for a uniform sigma the
     entries are independent and c(p) is uniform on 0..p (Knuth, TAOCP
     vol. 3, 5.1.1).  Sample s is row s mod B of block s // B, B =
-    word_block_rows(n), and a block's rows are successive
-    Generator.integers(0, arange(1, n + 1)) rows (Lemire's bounded draw,
-    with rejection, so the law is exact) on a PCG64DXSM seeded from the
-    first four words of Philox.random_raw on substream(seed, s // B,
-    CODE_STREAM), as sample_words seeds its blocks.  So every row depends
-    on its sample index alone; a batch that starts mid-block draws and
-    drops that block's leading rows.  Entries are int16 for n < 2^15,
-    else int32.  The arguments are checked on the call, before any block
-    is drawn.
+    word_block_rows(n), and a block's rows are the successive runs of n
+    32-bit halves, low half first, of PCG64DXSM.random_raw on a PCG64DXSM
+    seeded from the first four words of Philox.random_raw on
+    substream(seed, s // B, CODE_STREAM), as sample_words seeds its
+    blocks.  With u(p) the row's p-th half and x = u(p) (p + 1), c(p) =
+    x >> 32 unless x mod 2^32 < 2^32 mod (p + 1) (Lemire, "Fast random
+    integer generation in an interval", 2019).  The entries of row r = s
+    mod B so rejected are redrawn in increasing p, each by the same test
+    on the next successive halves of Philox lane r + 1 of the block's key
+    (see _rekeyer), so no two of them read the same half.  The rejection
+    makes the law exact, and every row depends on its sample index
+    alone; a batch that starts mid-block draws and drops that block's
+    leading rows.  Entries are int16 for n < 2^15, else int32.  The
+    arguments are checked on the call, before any block is drawn.
     """
     if n < 1:
         raise ZeroSize(f"cannot sample a permutation of size {n}")
@@ -430,10 +442,57 @@ def sample_codes(n: int, seed: int, count: int, start: int = 0) -> Iterator[np.n
     return _code_blocks(n, seed, count, start)
 
 
+def _lane_halves(lane: np.random.BitGenerator) -> Iterator[int]:
+    """The successive 32-bit halves of lane's random_raw stream, low half
+    of each word first, drawn a word at a time."""
+    while True:
+        word = int(_raw_words(lane, 1)[0])
+        yield word & 0xFFFFFFFF
+        yield word >> 32
+
+
+def _redraw(row: np.ndarray, rejected: np.ndarray, lane: np.random.BitGenerator) -> None:
+    """Redraws the entries p of a code row listed in rejected, in
+    increasing p, each by Lemire's test on the successive halves u of
+    lane, one iterator for the row: c(p) = u (p + 1) >> 32 for the first
+    u whose product's low half is not below 2^32 mod (p + 1)."""
+    halves = _lane_halves(lane)
+    for p in rejected.tolist():
+        bound = p + 1
+        floor = (1 << 32) % bound
+        product = next(halves) * bound
+        while product & 0xFFFFFFFF < floor:
+            product = next(halves) * bound
+        row[p] = product >> 32
+
+
 def _code_blocks(n: int, seed: int, count: int, start: int) -> Iterator[np.ndarray]:
-    """sample_codes' blocks, unchecked: one Generator.integers call per
-    block."""
+    """sample_codes' blocks, unchecked.  A block is drawn in slabs of an
+    even number of rows, about _CODE_SLAB entries, so each slab ends on a
+    whole word: one random_raw draw per slab, multiplied by p + 1 into a
+    reused uint64 buffer whose high halves are the codes.  The low halves
+    are tested against 2^32 mod (p + 1) only when one of them is below
+    the largest of those floors, and a row with a rejected entry re-keys
+    its Philox lane once."""
     dtype = np.int16 if n < 2**15 else np.int32
-    highs = np.arange(1, n + 1, dtype=dtype)
-    for _, drawn, kept, bulk in _bulk_blocks(n, _rekeyer(seed, CODE_STREAM), count, start):
-        yield np.random.Generator(bulk).integers(0, highs, size=(drawn, n), dtype=dtype)[kept:]
+    rekey = _rekeyer(seed, CODE_STREAM)
+    bounds = np.arange(1, n + 1, dtype=np.uint64)
+    floors = ((1 << 32) % bounds).astype(np.uint32)
+    top = floors.max()
+    slab = min(max(2, _CODE_SLAB // n & ~1), word_block_rows(n))
+    products = np.empty((slab, n), dtype="<u8")
+    for block, drawn, kept, bulk in _bulk_blocks(n, rekey, count, start):
+        codes = np.empty((drawn, n), dtype=dtype)
+        for first in range(0, drawn, slab):
+            rows = min(slab, drawn - first)
+            product = products[:rows]
+            np.multiply(_halves(bulk, rows * n).reshape(rows, n), bounds, out=product)
+            split = product.view("<u4")
+            codes[first : first + rows] = split[:, 1::2]
+            low = split[:, ::2]
+            if low.min() < top:
+                rejected = low < floors
+                for r in np.flatnonzero(rejected.any(axis=1)):
+                    lane = rekey(block, first + r + 1).bit_generator
+                    _redraw(codes[first + r], np.flatnonzero(rejected[r]), lane)
+        yield codes[kept:]

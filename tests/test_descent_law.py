@@ -1,14 +1,17 @@
-"""The samplers against the exact laws of the k = 2 pattern counts.
+"""The samplers against the exact laws of pattern counts.
 
 The number of descents (and so of ascents) of a uniform permutation of
 size n follows the Eulerian distribution, and the number of inversions
 (and so of non-inversions) the Mahonian one, both known at every n; the
-brute-force oracle stops at n = 9.  The Dvoretzky-Kiefer-Wolfowitz
-inequality with Massart's constant (1990), P(sup |F_m - F| > eps) <=
-2 exp(-2 m eps^2), turns each law into a test of a sampler and its
-counter, at sizes the oracle cannot reach: the word sampler for descents
-and the code sampler for inversions, each through run_experiment and its
-chunking, and the shuffle sampler for inversions through count_rows.
+brute-force oracle stops at n = 9.  The counts of 3|1,2 and 2|1,3 are
+sums over adjacent inversion-table entries, which are independent, so
+their laws follow by a DP over those entries.  The
+Dvoretzky-Kiefer-Wolfowitz inequality with Massart's constant (1990),
+P(sup |F_m - F| > eps) <= 2 exp(-2 m eps^2), turns each law into a test
+of a sampler and its counter, at sizes the oracle cannot reach: the word
+sampler for descents and the code sampler for inversions, 3|1,2 and
+2|1,3, each through run_experiment and its chunking, and the shuffle
+sampler for inversions through count_rows.
 """
 
 from math import log, sqrt
@@ -17,6 +20,7 @@ import numpy as np
 import pytest
 
 from vincstat import montecarlo
+from vincstat.moments import exact_variance_at, expectation
 from vincstat.montecarlo import run_experiment
 from vincstat.oracle import brute_force_distribution
 from vincstat.patterns import parse_pattern
@@ -122,4 +126,74 @@ def test_code_counts_stay_within_the_dkw_band_of_the_mahonian_law(monkeypatch, t
     # The same bands for run_experiment's inversion tables only.
     nulled = ("sample_uniform_batch", "sample_words")
     gap, eps = _run_experiment_gap(monkeypatch, text, n, m, mahonian_law(n), nulled)
+    assert gap <= eps, (gap, eps)
+
+
+def code_law(text: str, n: int) -> np.ndarray:
+    """P(count = S) for S = 0..C(n, 2) of 3|1,2 or 2|1,3 in a uniform
+    permutation of size n.  With c its inversion table, whose entries are
+    independent and c(p) uniform on 0..p, the count is the sum over
+    t = 0..n-2 of f(c(t), c(t+1)) (positions.count_codes): f(c, c') =
+    c' [c' <= c] for 3|1,2 and (c - c') [c' <= c] for 2|1,3.  P[c, S] is
+    the law of (c(p), the sum so far), and a step to p + 1 is
+
+        P'[c', S] = sum_c P[c, S - f(c, c')] / (p + 2).
+
+    The entries c < c' add nothing: a prefix sum over c.  For 3|1,2 the
+    others add c', one shift of a suffix sum; for 2|1,3 they add c - c',
+    so their sum R[c'] = P[c'] + R[c' + 1] shifted by one, from c' = p
+    down."""
+    size = n * (n - 1) // 2 + 1
+    law = np.zeros((1, size))
+    law[0, 0] = 1
+    for p in range(1, n):
+        below = np.zeros((p + 1, size))
+        np.cumsum(law, axis=0, out=below[1:])
+        step = below.copy()
+        if text == "3|1,2":
+            for c in range(p):
+                step[c, c:] += (below[p] - below[c])[: size - c]
+        else:
+            suffix = np.zeros(size)
+            for c in range(p - 1, -1, -1):
+                suffix[1:] = suffix[:-1]
+                suffix[0] = 0
+                suffix += law[c]
+                step[c] += suffix
+        law = step / (p + 1)
+    return law.sum(axis=0)
+
+
+@pytest.mark.parametrize("text", ["3|1,2", "2|1,3"])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_code_law_matches_the_oracle(text, n):
+    exact = brute_force_distribution(parse_pattern(text), n)
+    law = code_law(text, n)
+    for count, prob in enumerate(law):
+        assert abs(prob - float(exact.get(count, 0))) <= 1e-12, (n, count)
+
+
+@pytest.mark.parametrize("text", ["3|1,2", "2|1,3"])
+@pytest.mark.parametrize("n", [50, 100])
+def test_code_law_moments_match_the_moment_core(text, n):
+    # Far past the oracle's n = 9: the law's mean and variance are the
+    # exact moments, to float64 rounding.
+    p = parse_pattern(text)
+    law = code_law(text, n)
+    counts = np.arange(law.size)
+    mean = law @ counts
+    assert abs(law.sum() - 1) <= 1e-12
+    assert abs(mean - float(expectation(p, n))) <= 1e-12 * mean
+    variance = law @ (counts - mean) ** 2
+    assert abs(variance - float(exact_variance_at(p, n))) <= 1e-10 * variance
+
+
+@pytest.mark.parametrize("text", ["3|1,2", "2|1,3"])
+@pytest.mark.parametrize("n, m", [(50, 200_000), (100, 100_000)])
+def test_code_counts_stay_within_the_dkw_band_of_the_code_law(monkeypatch, text, n, m):
+    # eps is 0.0060 at m = 2*10^5 and 0.0085 at m = 10^5; inversion
+    # tables only, 3|1,2 with its singleton above the window and 2|1,3
+    # with it between.
+    nulled = ("sample_uniform_batch", "sample_words")
+    gap, eps = _run_experiment_gap(monkeypatch, text, n, m, code_law(text, n), nulled)
     assert gap <= eps, (gap, eps)

@@ -489,7 +489,10 @@ def test_sweep_path_reports_equal_chain_path_reports(monkeypatch, text, n):
     assert chain_calls
 
 
-def test_sweep_path_is_thread_invariant():
+def test_sweep_path_is_thread_invariant(monkeypatch):
+    # Two CPUs in the affinity mask, so that two workers start on a
+    # one-CPU runner too.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     p = parse_pattern("2,1|3,4")
     m = _CHUNK + 1  # two chunks, so two workers really split the work
     one = run_experiment(p, n=25, m=m, seed=5, threads=1)
@@ -508,9 +511,11 @@ def test_chain_kernel_path_is_thread_invariant(monkeypatch):
 
 
 @pytest.mark.parametrize("text", ["3|1,2", "1,3|2"])
-def test_code_path_is_thread_invariant(text):
-    # Two chunks of one 2621-row code block each at n = 25; 1,3|2, whose
-    # singleton comes last, counts the reversed permutations.
+def test_code_path_is_thread_invariant(monkeypatch, text):
+    # Two chunks of one 2621-row code block each at n = 25, split across
+    # two workers (two CPUs in the affinity mask); 1,3|2, whose singleton
+    # comes last, counts the reversed permutations.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     p = parse_pattern(text)
     m = 2 * word_block_rows(25)
     one = run_experiment(p, n=25, m=m, seed=5, threads=1)

@@ -337,18 +337,19 @@ def _halves(raw):
     return np.stack([raw & np.uint64(0xFFFFFFFF), raw >> np.uint64(32)], axis=1).ravel()
 
 
-def _lane(seed, block, lane=0):
-    """A fresh Philox on lane `lane` of the (seed, block) word substream:
-    its counter starts at word 1 = lane."""
-    key = np.array([seed, WORD_STREAM << 56 | block], dtype=np.uint64)
+def _lane(seed, block, lane=0, stream=WORD_STREAM):
+    """A fresh Philox on lane `lane` of the (seed, block) substream of
+    stream, the word stream by default: its counter starts at word 1 =
+    lane."""
+    key = np.array([seed, stream << 56 | block], dtype=np.uint64)
     return np.random.Philox(key=key, counter=[0, lane, 0, 0])
 
 
-def _bulk(seed, block):
+def _bulk(seed, block, stream=WORD_STREAM):
     """A fresh PCG64DXSM seeded from the first four words w0..w3 of lane
-    0 of the (seed, block) word substream: state w0 << 64 | w1, increment
-    w2 << 64 | w3 | 1."""
-    w0, w1, w2, w3 = (int(w) for w in _lane(seed, block).random_raw(4))
+    0 of the (seed, block) substream of stream: state w0 << 64 | w1,
+    increment w2 << 64 | w3 | 1."""
+    w0, w1, w2, w3 = (int(w) for w in _lane(seed, block, 0, stream).random_raw(4))
     bit_gen = np.random.PCG64DXSM()
     bit_gen.state = {
         "bit_generator": "PCG64DXSM",
@@ -517,33 +518,41 @@ def test_any_window_of_a_word_batch_is_a_slice_of_one_long_batch(monkeypatch, bi
         assert np.array_equal(_words(n, seed=9, count=1, start=index, window=k)[0], whole[index])
 
 
-def _code_bulk(seed, block):
-    """A fresh PCG64DXSM seeded from the first four words w0..w3 of a
-    fresh Philox on the (seed, block) code substream: state w0 << 64 |
-    w1, increment w2 << 64 | w3 | 1."""
-    key = np.array([seed, CODE_STREAM << 56 | block], dtype=np.uint64)
-    w0, w1, w2, w3 = (int(w) for w in np.random.Philox(key=key).random_raw(4))
-    bit_gen = np.random.PCG64DXSM()
-    bit_gen.state = {
-        "bit_generator": "PCG64DXSM",
-        "state": {"state": w0 << 64 | w1, "inc": w2 << 64 | w3 | 1},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return bit_gen
+def _lemire_row(halves, lane):
+    """The code row of the 32-bit halves u(0..n-1): c(p) = u(p) (p + 1) >> 32,
+    unless the product mod 2^32 is below 2^32 mod (p + 1); such entries
+    are redrawn in increasing p by the same test, one scalar at a time,
+    from the successive halves of lane, low half of each word first."""
+    bounds = np.arange(1, len(halves) + 1, dtype=np.uint64)
+    products = halves * bounds
+    row = (products >> np.uint64(32)).tolist()
+    spare = []
+    for p in np.flatnonzero(products % 2**32 < 2**32 % bounds).tolist():
+        product = 0
+        while product % 2**32 < 2**32 % (p + 1):
+            if not spare:
+                word = int(lane.random_raw())
+                spare = [word >> 32, word % 2**32]
+            product = spare.pop() * (p + 1)
+        row[p] = product >> 32
+    return row
 
 
-def test_code_rows_follow_generator_integers_on_the_seeded_pcg():
-    # Sample s is row s mod B of Generator.integers(0, arange(1, n + 1)),
-    # in int16 below n = 2^15 and int32 from there, on a fresh PCG64DXSM
-    # seeded from the first four Philox words of the (seed, s // B) code
-    # substream, B = word_block_rows(n).  Batches start at a block, cross
-    # a block boundary mid-block and sit at the top sample indices; n = 6
-    # has the row cap, n = 2^15 the first int32 rows and n = 70 000 one
-    # row a block.
+def test_code_rows_follow_lemire_draws_on_the_seeded_pcg():
+    # Sample s is row s mod B of the (seed, s // B) code block,
+    # B = word_block_rows(n): the Lemire draws on its n halves of a fresh
+    # PCG64DXSM seeded from the first four Philox words of the substream,
+    # in int16 below n = 2^15 and int32 from there.  Batches start at a
+    # block, cross a block boundary mid-block and sit at the top sample
+    # indices; n = 6 has the row cap, n = 2^15 the first int32 rows and
+    # n = 70 000 one row a block, odd, so its last word's high half is
+    # dropped.  A row rejects about n^2 / 2^34 entries, so the large
+    # rows here redraw some from their lanes.
+    rejected = 0
     for n in (1, 2, 6, 25, 100, 6400, 2**15 - 1, 2**15, 70_000):
         rows = word_block_rows(n)
         dtype = np.int16 if n < 2**15 else np.int32
+        bounds = np.arange(1, n + 1, dtype=np.uint64)
         for seed, start, count in (
             (0, 0, 3),
             (314, 10, 3),
@@ -553,25 +562,53 @@ def test_code_rows_follow_generator_integers_on_the_seeded_pcg():
             expected = []
             for s in range(start, start + count):
                 block, r = divmod(s, rows)
-                gen = np.random.Generator(_code_bulk(seed, block))
-                expected.append(gen.integers(0, np.arange(1, n + 1), size=(r + 1, n), dtype=dtype)[r])
+                raw = _bulk(seed, block, CODE_STREAM).random_raw(-(-(r + 1) * n // 2))
+                halves = _halves(raw)[r * n : (r + 1) * n]
+                rejected += int((halves * bounds % 2**32 < 2**32 % bounds).sum())
+                expected.append(_lemire_row(halves, _lane(seed, block, r + 1, CODE_STREAM)))
             got = _codes(n, seed, count, start)
             assert got.dtype == dtype
             assert np.array_equal(got, np.array(expected)), (n, seed, start)
+    assert rejected > 0
 
 
 def test_literal_code_rows():
-    # NEP 19 does not freeze Generator.integers as it does raw streams,
-    # so two literal cases pin the bounded draw itself.
+    # Two literal cases pin the code stream outright, apart from the
+    # replay helpers above.
     assert _codes(8, seed=2024, count=3, start=5).tolist() == [
-        [0, 1, 0, 2, 0, 0, 6, 1],
-        [0, 0, 0, 2, 4, 2, 4, 2],
-        [0, 1, 2, 1, 2, 5, 2, 3],
+        [0, 1, 0, 3, 0, 1, 0, 5],
+        [0, 0, 1, 0, 1, 0, 5, 2],
+        [0, 0, 2, 3, 0, 5, 1, 4],
     ]
     assert _codes(5, seed=2**64 - 1, count=2, start=2**56 - 2).tolist() == [
-        [0, 0, 0, 1, 0],
-        [0, 0, 2, 0, 1],
+        [0, 0, 1, 1, 4],
+        [0, 1, 1, 1, 4],
     ]
+
+
+def test_rejected_code_entries_are_redrawn_from_the_row_lane(monkeypatch):
+    # Zero halves on the blocks, whole words on the lanes: u(p) (p + 1) is
+    # 0, below 2^32 mod (p + 1) unless p + 1 is a power of two, so at
+    # n = 8 entries 2, 4, 5 and 6 of every row are rejected and the rest
+    # are 0.  Row r of block b redraws them from lane r + 1 of the
+    # (seed, b) key, one re-key a row: they take its successive halves,
+    # since bounds 3, 5, 6 and 7 reject a half only below 4.  Blocks of
+    # five rows; a batch that starts mid-block redraws the same entries.
+    n, rows, seed = 8, 5, 11
+    monkeypatch.setattr(sampling, "_raw_words", _few_bits(0, lanes=False))
+    monkeypatch.setattr(sampling, "_WORD_CELLS", rows * n)
+    assert word_block_rows(n) == rows
+    whole = _codes(n, seed, count=3 * rows + 2)
+    assert (whole[:, [0, 1, 3, 7]] == 0).all()
+    zeros = np.zeros(n, dtype=np.uint64)
+    for s, row in enumerate(whole):
+        block, r = divmod(s, rows)
+        halves = _halves(_lane(seed, block, r + 1, CODE_STREAM).random_raw(2))
+        redrawn = [int(u) * bound >> 32 for u, bound in zip(halves, (3, 5, 6, 7))]
+        assert row[[2, 4, 5, 6]].tolist() == redrawn, s
+        assert row.tolist() == _lemire_row(zeros, _lane(seed, block, r + 1, CODE_STREAM)), s
+    for start in (1, rows - 1, rows + 2, 2 * rows + 1):
+        assert np.array_equal(_codes(n, seed, count=4, start=start), whole[start : start + 4])
 
 
 def test_any_window_of_a_code_batch_is_a_slice_of_one_long_batch(monkeypatch):
