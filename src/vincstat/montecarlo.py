@@ -73,7 +73,8 @@ def _normal_cdf(xs: np.ndarray) -> np.ndarray:
 def _grouped(xs, freqs) -> tuple[np.ndarray, np.ndarray, int]:
     """The distinct values of a sample in ascending order, how often each
     occurs, and the sample size.  The sample is xs, or, when freqs is
-    given, xs[i] taken freqs[i] times for each i."""
+    given, xs[i] taken freqs[i] times for each i.  NaN and infinities
+    raise DegenerateInput."""
     xs = np.asarray(xs, dtype=np.float64).ravel()
     if freqs is None:
         values, counts = np.unique(xs, return_counts=True)
@@ -86,6 +87,8 @@ def _grouped(xs, freqs) -> tuple[np.ndarray, np.ndarray, int]:
             values, counts = xs, freqs  # already a summary, as run_experiment's is
         else:
             values, counts = _summed(xs, freqs)
+    if not np.isfinite(values).all():
+        raise DegenerateInput("the sample holds NaN or an infinity")
     return values, counts, int(counts.sum())
 
 
@@ -281,9 +284,11 @@ def run_experiment(
     the sampler's blocks of B rows, so no chunk redraws a row another
     chunk drew, and their sizes differ by at most B (by at most one when
     B = 1): that keeps the largest chunk, and with it peak memory, as
-    small as that many chunks allow.  (Full chunks and a thin remainder
-    would count no slower.)  Every chunk is reduced to (value,
-    frequency) pairs, which are merged; no array of m counts is built.
+    small as that many chunks allow.  A scanned pattern pays for it in
+    time: 2,1|3,4 at n = 6400, m = 90 counts as 45 + 45 rows in about
+    200 ms, as 81 + 9 in about 145 ms (2-CPU Xeon).  Every chunk is
+    reduced to (value, frequency) pairs, which are merged; no array of m
+    counts is built.
     Output is identical for every thread count.  At most min(threads,
     chunks, CPUs in the affinity mask) worker processes run.
     """
@@ -359,7 +364,8 @@ class RateFit:
 
 
 def fit_rate(points) -> RateFit:
-    """Least-squares slope of log d_K against log n.
+    """Least-squares slope of log d_K against log n, over at least three
+    points at two or more distinct n.
 
     residual is the root-mean-square residual of the fit in log space.
     """
@@ -368,6 +374,8 @@ def fit_rate(points) -> RateFit:
         raise DegenerateInput(f"need at least 3 points, got {len(pts)}")
     if not all(0 < n < np.inf and 0 < d < np.inf for n, d in pts):
         raise DegenerateInput("all n and d_K must be positive and finite")
+    if len({n for n, _ in pts}) < 2:
+        raise DegenerateInput("need at least two distinct n to fit a rate")
     log_n = np.log([n for n, _ in pts])
     log_d = np.log([d for _, d in pts])
     slope, intercept = np.polyfit(log_n, log_d, 1)

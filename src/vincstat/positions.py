@@ -21,8 +21,9 @@ pattern (j = 1) takes no step: count_windows counts it, a row sum of k-1
 comparisons made on the rows in the dtype they come in, so the rows need
 not be permutations (the uint32 words of sampling.sample_words are
 counted as they are).  A two-block pattern over many host rows takes one
-bit-parallel scan of about n^2/64 word operations per row; otherwise
-each step costs about n^1.5 cells per row.  The chain kernel,
+bit-parallel scan of about n^2/64 word operations per row, on sources
+and targets whose failed windows are folded into their values;
+otherwise each step costs about n^1.5 cells per row.  The chain kernel,
 count_occurrences_batch, tests every set of a position_matrix with k-1
 comparisons; it serves every other shape, under the listing cap, and is
 the reference the sweep is tested against.  count_codes counts a
@@ -395,59 +396,36 @@ def _dominance(x: np.ndarray, weight: np.ndarray, y: np.ndarray, gap: int, n: in
     return out
 
 
-def _window_at(v: np.ndarray, start: int, chain: list[int]) -> np.ndarray:
-    # v[start + chain[0]] < v[start + chain[1]] < ... in every host row, for
-    # v transposed to (positions, rows).
-    ok = v[start + chain[0]] < v[start + chain[1]]
-    for lo, hi in zip(chain[1:-1], chain[2:]):
-        ok &= v[start + lo] < v[start + hi]
-    return ok
+def _two_block_scan(x: np.ndarray, y: np.ndarray, gap: int, n: int) -> np.ndarray:
+    """Per row, sum over t of #{s <= t - gap : x[s] < y[t]}: _dominance
+    with 0/1 weights, by one left-to-right scan over all rows at once.
 
-
-def _two_block_scan(perms: np.ndarray, first: list[int], second: list[int]) -> np.ndarray:
-    """Counts, in each row of perms, of a two-block pattern whose blocks
-    rise, by one left-to-right scan over all rows at once.
-
-    first and second hold each block's offsets in increasing value
-    (count_occurrences_sweep's chains), and a row v counts
-        sum over t of M_2(t) * sum over s <= t - b_1 of
-        M_1(s) * [v(s + first[-1]) < v(t + second[0])].
-    The rows are copied once, transposed, into a dtype that holds n+1, so
-    each position is one contiguous row slice.  Per row, the sources
-    passed so far are a bitset of their values in (n+1)//64 + 1 uint64
-    words, and for each word the number of them in the words below it:
-    target y reads lower[word(y)] plus the popcount of word(y) under y.
-    A source whose window fails enters as n+1, above every target, and a
-    target whose window fails reads as 0, below every source, so no
-    weights are kept.  The words and counts are (words, rows) arrays, so
-    every step runs along the rows.
+    x and y are one step's sources and targets as (starts, rows) arrays
+    in a signed dtype that holds n+1.  Failed windows are folded in: a
+    dead source is n+1, above every target, and a dead target 0, below
+    every source.  Per row, the sources passed so far are a bitset of
+    their values in (n+1)//64 + 1 uint64 words, and for each word the
+    number of them in the words below it: target y reads lower[word(y)]
+    plus the popcount of word(y) under y.  The words and counts are
+    (words, rows) arrays, so every step runs along the rows.
     """
-    rows, n = perms.shape
-    v = np.ascontiguousarray(perms.T, dtype=np.int16 if n < 2**15 - 1 else np.int32)
+    rows = x.shape[1]
     width = (n + 1) // 64 + 1
     values = np.arange(n + 2)
     word_at = (values >> 6) * rows  # flat offset of each value's word in row 0
     bit = np.left_shift(np.uint64(1), (values & 63).astype(np.uint64))
     under = bit - np.uint64(1)
     words = np.zeros(width * rows, dtype=np.uint64)
-    lower = np.zeros((width, rows), dtype=v.dtype)
-    edges = (64 * np.arange(width, dtype=v.dtype))[:, None]
+    lower = np.zeros((width, rows), dtype=x.dtype)
+    edges = (64 * np.arange(width, dtype=x.dtype))[:, None]
     cols = np.arange(rows)
     total = np.zeros(rows, dtype=np.int64)
-    for t in range(len(first), n - len(second) + 1):
-        s = t - len(first)
-        x = v[s + first[-1]]
-        if len(first) > 1:
-            x = np.where(_window_at(v, s, first), x, n + 1)
-        at = word_at.take(x) + cols
-        words[at] |= bit.take(x)
-        lower += x < edges
-        y = v[t + second[0]]
-        if len(second) > 1:
-            y = np.where(_window_at(v, t, second), y, 0)
-        at = word_at.take(y) + cols
+    for source, target in zip(x, y[gap:]):
+        words[word_at.take(source) + cols] |= bit.take(source)
+        lower += source < edges
+        at = word_at.take(target) + cols
         total += lower.take(at)
-        total += _popcount(words.take(at) & under.take(y))
+        total += _popcount(words.take(at) & under.take(target))
     return total
 
 
@@ -474,9 +452,11 @@ def count_occurrences_sweep(perms: np.ndarray, pattern: VincularPattern) -> np.n
 
     A two-block pattern (j = 2) needs only the row sums of W_2, whose
     weights W_1 = M_1 are 0 or 1.  On a thick batch, rows^3 * n at least
-    _SCAN_MIN, _two_block_scan finds them in one scan over all rows at
-    once.  It costs about twenty numpy calls per position however few
-    the rows, so thin batches keep _dominance.  Measured on a 2-CPU Xeon
+    _SCAN_MIN, one transposed copy of the rows gives the step's sources
+    and targets at the offsets of the _dominance steps, with the windows
+    _window_match fails folded in, and _two_block_scan counts them.  It
+    costs about fifteen numpy calls per position however few the rows,
+    so thin batches keep _dominance.  Measured on a 2-CPU Xeon
     (numpy 2.4.6) with 3|1,2, 1|2 and 2,1|3,4, the scan is the faster
     from about 130-250 rows at n = 50-200, 60-100 rows at n = 1600 and
     20-30 rows at n = 25600; rows^3 * n = 2^29 runs through that band.
@@ -502,7 +482,17 @@ def count_occurrences_sweep(perms: np.ndarray, pattern: VincularPattern) -> np.n
     # Each block's offsets in increasing value: first argmin, last argmax.
     chains = [sorted(range(len(block)), key=block.__getitem__) for block in blocks]
     if len(chains) == 2 and m**3 * n >= _SCAN_MIN:
-        return _two_block_scan(perms, *chains)
+        # Folded after the cast: the rows' own dtype may not hold n+1.
+        v = np.ascontiguousarray(perms.T, dtype=np.int16 if n < 2**15 - 1 else np.int32)
+        first, second = chains
+        x = v[first[-1] : first[-1] + n - len(first) + 1]
+        y = v[second[0] : second[0] + n - len(second) + 1]
+        if len(first) > 1:
+            dead = ~_window_match(perms, first)[:, : len(x)].T
+            x = np.maximum(x, dead * v.dtype.type(n + 1))
+        if len(second) > 1:
+            y = y * _window_match(perms, second)[:, : len(y)].T
+        return _two_block_scan(x, y, len(first), n)
     step = max(1, _SWEEP_CELLS // (n + 1))
     for lo in range(0, m, step):
         # Mirrored rows are copied here once, not by every flat window

@@ -251,6 +251,14 @@ def test_rate_malformed_csv_is_a_usage_error(runner):
     assert "bad CSV input" in no_n_column.output
 
 
+def test_rate_refuses_a_single_host_size(runner):
+    result = runner.invoke(main, ["rate"], input="100,0.02\n100,0.03\n100,0.025\n")
+    assert result.exit_code == 1
+    error = json.loads(result.output)["error"]
+    assert error["type"] == "DegenerateInput"
+    assert "distinct n" in error["message"]
+
+
 def test_rate_reads_concatenated_clt_csv(runner):
     # Every `clt --format csv` run repeats the header row; rate skips the
     # later copies.

@@ -2,6 +2,7 @@ import concurrent.futures
 import itertools
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -394,6 +395,26 @@ def test_fit_rate_validation():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(DegenerateInput):
             fit_rate([(100, bad), (200, 0.05), (400, 0.02)])
+    # One n leaves the slope undetermined, where polyfit would fit one
+    # anyway, with a RankWarning; two distinct n suffice.
+    with pytest.raises(DegenerateInput):
+        fit_rate([(100, 0.02), (100, 0.03), (100, 0.025)])
+    assert fit_rate([(100, 0.02), (100, 0.03), (400, 0.01)]).slope < 0
+
+
+def test_non_finite_samples_are_refused():
+    # Refused before any arithmetic, so numpy warns of nothing.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (np.nan, np.inf, -np.inf):
+            xs = np.array([0.1, bad, 0.3, 0.2, 0.5, 0.4])
+            for freqs in (None, np.ones(6, dtype=np.int64)):
+                with pytest.raises(DegenerateInput):
+                    empirical_kolmogorov(xs, freqs)
+                with pytest.raises(DegenerateInput):
+                    sample_cumulants(xs, freqs)
+            with pytest.raises(DegenerateInput):
+                empirical_kolmogorov(np.array([bad, 1.0]))
 
 
 def test_kolmogorov_distance_saturates_far_out():

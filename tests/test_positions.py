@@ -590,13 +590,15 @@ def test_reverse_and_complement_tie_the_counters_together_at_n_300():
 
 @pytest.fixture
 def scans(monkeypatch):
-    """The shapes of the batches count_occurrences_sweep hands the scan."""
+    """The (rows, n) of the batches count_occurrences_sweep hands the
+    scan, read off the (starts, rows) sources and targets it prepares."""
     shapes = []
     scan = positions._two_block_scan
 
-    def spy(perms, *chains):
-        shapes.append(perms.shape)
-        return scan(perms, *chains)
+    def spy(x, y, gap, n):
+        assert x.shape[1] == y.shape[1] and len(x) == n - gap + 1
+        shapes.append((x.shape[1], n))
+        return scan(x, y, gap, n)
 
     monkeypatch.setattr(positions, "_two_block_scan", spy)
     return shapes
