@@ -16,7 +16,7 @@ count_occurrences_sweep, serves path-shaped patterns (is_path_shaped:
 blocks whose values are intervals, monotone in position; every window
 pattern is one), whose conditions chain block to block: j-1 dominance
 steps over positions count them with no position matrix; a pattern whose
-blocks fall is swept as its reverse on the mirrored rows.  A window
+blocks fall is swept as its complement on the rows n+1-sigma.  A window
 pattern (j = 1) takes no step: count_windows counts it, a row sum of k-1
 comparisons made on the rows in the dtype they come in, so the rows need
 not be permutations (the uint32 words of sampling.sample_words are
@@ -259,7 +259,7 @@ _SWEEP_CELLS = 2**16
 
 # A two-block pattern is scanned (_two_block_scan) when rows^3 * n reaches
 # this; see count_occurrences_sweep for the measured crossover.
-_SCAN_MIN = 2**29
+_SCAN_MIN = 2**28
 
 
 @cache
@@ -296,32 +296,22 @@ def is_path_shaped(pattern: VincularPattern) -> bool:
     return lows == sorted(lows) or lows == sorted(lows, reverse=True)
 
 
-def _rising_blocks(pattern: VincularPattern) -> tuple[tuple[tuple[int, ...], ...], bool]:
-    """The block values the sweep runs, rising from block to block, and
-    whether it runs them on the mirrored rows: a pattern whose blocks fall
-    occurs in sigma exactly where its reverse occurs in sigma reversed."""
-    blocks = pattern.block_values
-    if len(blocks) > 1 and min(blocks[0]) > min(blocks[-1]):
-        return tuple(block[::-1] for block in reversed(blocks)), True
-    return blocks, False
-
-
 def check_sweep_size(n: int, pattern: VincularPattern) -> None:
     """Refuse a count that lists no position set (the sweep,
     count_windows or count_codes) where the limits do not allow it: more
     window starts n-k+1 than the listing cap (for a window pattern,
     exactly its position sets), or DP weights that could overflow int64.
-    After block i of _rising_blocks a weight counts placements of the
-    first i blocks, at most binom(n - (b_1 + ... + b_i) + i, i); the last
-    of these bounds is position_count."""
+    After block i a weight counts placements of the first i blocks, at
+    most binom(n - (b_1 + ... + b_i) + i, i); the last of these bounds is
+    position_count."""
     cap = config.listing_cap()
     if n - pattern.size + 1 > cap:
         raise SizeLimitExceeded(
             f"{n - pattern.size + 1} window starts exceed the listing cap of {cap}"
         )
     used = 0
-    for i, block in enumerate(_rising_blocks(pattern)[0], start=1):
-        used += len(block)
+    for i, size in enumerate(pattern.blocks, start=1):
+        used += size
         if comb(max(0, n - used + i), i) > _INT64_MAX:
             raise SizeLimitExceeded(
                 f"placements of {format_pattern(pattern)} at n={n} overflow int64"
@@ -443,8 +433,8 @@ def count_occurrences_sweep(perms: np.ndarray, pattern: VincularPattern) -> np.n
                      W_i(s) * [sigma(s + argmax_i) < sigma(t + argmin_{i+1})],
     and the count is the sum of W_j; a window pattern (j = 1) takes no
     step, and its counts are count_windows', as int64.  The blocks rise:
-    a pattern whose blocks fall runs as its reverse on perms[:, ::-1]
-    (_rising_blocks), a view that each row sub-chunk copies once.  The
+    a pattern whose blocks fall occurs where its complement occurs in
+    n+1-sigma, computed as (n - sigma) + 1 in the rows' own dtype.  The
     window tests and the steps read the rows in their integer dtype.
     Each row's W_j is summed into the int64 counts.  Each step is a
     weighted dominance count (_dominance), about n^1.5 cells per row,
@@ -457,9 +447,11 @@ def count_occurrences_sweep(perms: np.ndarray, pattern: VincularPattern) -> np.n
     _window_match fails folded in, and _two_block_scan counts them.  It
     costs about fifteen numpy calls per position however few the rows,
     so thin batches keep _dominance.  Measured on a 2-CPU Xeon
-    (numpy 2.4.6) with 3|1,2, 1|2 and 2,1|3,4, the scan is the faster
-    from about 130-250 rows at n = 50-200, 60-100 rows at n = 1600 and
-    20-30 rows at n = 25600; rows^3 * n = 2^29 runs through that band.
+    (numpy 2.4.6) with 1|2, 2|1, 2,1|3,4 and 4,3|2,1, the scan is the
+    faster from about 105-120 rows at n = 50-100, 75-95 at n = 200-400,
+    47-49 at n = 1600, 30-34 at n = 6400 and 22-23 at n = 25600, where
+    rows^3 * n runs from 2^25.8 to 2^28.3.  Cut at 2^28, the kernel that
+    runs takes at most 1.15x the faster one's time from n = 100 up.
     Either way the counts equal count_occurrences_batch's.  Sweeps over
     constraints that form a path follow Even-Zohar & Leng, "Counting
     small permutation patterns" (SODA 2021).
@@ -474,13 +466,14 @@ def count_occurrences_sweep(perms: np.ndarray, pattern: VincularPattern) -> np.n
     if pattern.block_count == 1:
         return count_windows(perms, pattern).astype(np.int64)
     counts = np.zeros(m, dtype=np.int64)
-    if n < pattern.size:
+    if n < pattern.size or not m:
         return counts
-    blocks, mirrored = _rising_blocks(pattern)
-    if mirrored:
-        perms = perms[:, ::-1]
-    # Each block's offsets in increasing value: first argmin, last argmax.
-    chains = [sorted(range(len(block)), key=block.__getitem__) for block in blocks]
+    blocks = pattern.block_values
+    falling = min(blocks[0]) > min(blocks[-1])
+    if falling:
+        perms = (n - perms) + 1
+    # Each block's offsets by rising value in the rows swept: first argmin, last argmax.
+    chains = [sorted(range(len(b)), key=b.__getitem__, reverse=falling) for b in blocks]
     if len(chains) == 2 and m**3 * n >= _SCAN_MIN:
         # Folded after the cast: the rows' own dtype may not hold n+1.
         v = np.ascontiguousarray(perms.T, dtype=np.int16 if n < 2**15 - 1 else np.int32)
@@ -495,9 +488,7 @@ def count_occurrences_sweep(perms: np.ndarray, pattern: VincularPattern) -> np.n
         return _two_block_scan(x, y, len(first), n)
     step = max(1, _SWEEP_CELLS // (n + 1))
     for lo in range(0, m, step):
-        # Mirrored rows are copied here once, not by every flat window
-        # test (_window_match), and the steps read contiguous slices.
-        rows = np.ascontiguousarray(perms[lo : lo + step])
+        rows = perms[lo : lo + step]
         weight = _window_match(rows, chains[0])
         for prev, nxt in zip(chains, chains[1:]):
             x = rows[:, prev[-1] : prev[-1] + n - len(prev) + 1]

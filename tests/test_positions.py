@@ -450,8 +450,15 @@ def test_scan_copies_past_int16(monkeypatch):
     scan = count_occurrences_sweep(rows.astype(np.int32), p)
     assert scan.tolist() == thin.tolist()
     assert scan[:2].tolist() == [position_count(n, p), 0]
-    # 2|1 is scanned as 1|2 on the mirrored uint8 rows; the copy is int16,
-    # which holds the dead source n+1 = 256 that uint8 could not.
+    # 3,2|1 runs on the complemented int16 rows, (n - sigma) + 1, which
+    # stay in int16, and the copy is int32 again: its sources are all dead
+    # in the identity and none are in its reverse, where it occurs at every
+    # position set.
+    falling = parse_pattern("3,2|1")
+    scan = count_occurrences_sweep(rows[:2].astype(np.int16), falling)
+    assert scan.tolist() == [0, position_count(n, falling)]
+    # 2|1 is scanned on the complemented uint8 rows; the copy is int16,
+    # which holds n+1 = 256 where uint8 could not.
     rows = sample_uniform_batch(255, seed=5, count=4)
     scan = count_occurrences_sweep(rows.astype(np.uint8), parse_pattern("2|1"))
     monkeypatch.undo()
@@ -497,7 +504,7 @@ def test_falling_windows_on_uint8_rows_at_n_255(monkeypatch):
         assert counts.dtype == np.int64
         assert counts.tolist() == chain.tolist(), text
     # The _dominance steps read their row slices in the rows' own dtype,
-    # mirrored for a pattern whose blocks fall.  Two-block patterns are
+    # complemented for a pattern whose blocks fall.  Two-block patterns are
     # counted once more by the scan.
     for text in ("1|2", "1,2|3", "1|2|3", "2,1|3|4", "2|1", "3|2,1", "3|2|1"):
         p = parse_pattern(text)
@@ -558,24 +565,41 @@ def test_variance_polynomial_is_invariant_under_reverse_and_complement():
             assert variance_polynomial(image) == poly, (p, image)
 
 
-def test_sweep_runs_the_blocks_rising():
-    # The one orientation the sweep runs in: each block's values below the
-    # next block's, the pattern's own blocks when they already rise and
-    # its reverse's, counted on the mirrored rows, when they fall.
-    for p in (p for k in range(1, 6) for p in iter_patterns(k) if is_path_shaped(p)):
-        blocks, mirrored = positions._rising_blocks(p)
-        assert all(max(a) < min(b) for a, b in zip(blocks, blocks[1:])), p
-        own = p.block_values
-        rises = all(max(a) < min(b) for a, b in zip(own, own[1:]))
-        assert mirrored is not rises, p
-        assert blocks == (own if rises else _reverse(p).block_values), p
+def test_sweep_hands_its_kernels_forward_rows(monkeypatch):
+    # A pattern whose blocks fall runs on the complemented rows, which keep
+    # every position, so on C-contiguous input every window test reads
+    # C-contiguous rows and no step reads a view with a negative stride.
+    # Every path-shaped pattern with j >= 2 and k <= 5, in a thin batch of
+    # 8 rows and, with _SCAN_MIN = 0, in a thick one.
+    handed = []
+    for name in ("_window_match", "_dominance", "_two_block_scan"):
+
+        def spy(*args, name=name, kernel=getattr(positions, name)):
+            handed.extend((name, a) for a in args if isinstance(a, np.ndarray))
+            return kernel(*args)
+
+        monkeypatch.setattr(positions, name, spy)
+    perms = sample_uniform_batch(12, seed=3, count=8)
+    assert perms.flags.c_contiguous
+    for scan_min in (positions._SCAN_MIN, 0):
+        monkeypatch.setattr(positions, "_SCAN_MIN", scan_min)
+        for p in (p for p in _PATH_SHAPED if p.block_count >= 2):
+            handed.clear()
+            count_occurrences_sweep(perms, p)
+            assert handed, p
+            for name, a in handed:
+                assert min(a.strides) >= 0, (p, scan_min, name)
+                assert name != "_window_match" or a.flags.c_contiguous, (p, scan_min)
+    # An empty batch is not complemented, so its dtype need not hold n.
+    empty = np.zeros((0, 300), dtype=np.uint8)
+    assert count_occurrences_sweep(empty, parse_pattern("4,3|2,1")).shape == (0,)
 
 
 def test_reverse_and_complement_tie_the_counters_together_at_n_300():
     # 128 rows at n = 300 are a thick batch, so 3|1,2 and its images are
     # scanned; the images are counted again in 8-row slices, on
     # _dominance.  The windows rise and fall, and 1|2|3 and 3|2|1 run the
-    # _dominance steps on rows as given and on mirrored rows.
+    # _dominance steps on rows as given and on complemented rows.
     n = 300
     perms = sample_uniform_batch(n, seed=11, count=128)
     mirrored, flipped = perms[:, ::-1], n + 1 - perms
@@ -605,7 +629,7 @@ def scans(monkeypatch):
 
 
 def test_sweep_scans_thick_batches_only(scans):
-    # 72 rows at n = 1600 are thick (72^3 * 1600 >= 2^29), 8 rows are not,
+    # 72 rows at n = 1600 are thick (72^3 * 1600 >= 2^28), 8 rows are not,
     # and three blocks always take _dominance.
     perms = sample_uniform_batch(1600, seed=2, count=72)
     p = parse_pattern("3|1,2")
